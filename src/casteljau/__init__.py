@@ -8,11 +8,10 @@ with a CLI (:mod:`.experiments`, ``casteljau`` / ``python -m casteljau``).
 """
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
-from .eft import EftPair, SplitPair, split, sum_k, two_prod, two_prod_fma, two_sum, vec_sum
+from .eft import split, sum_k, two_prod, two_prod_fma, two_sum, vec_sum
 from .evaluate import (
     BernsteinPoly,
     CompensationTrace,
-    ErrorVector,
     MonomialPoly,
     comp_de_casteljau,
     comp_de_casteljau_k,
@@ -42,12 +41,9 @@ __all__ = [
     "CompensationTrace",
     "ConditionReport",
     "CountingFloat",
-    "EftPair",
-    "ErrorVector",
     "ExactScalar",
     "FlopCounter",
     "MonomialPoly",
-    "SplitPair",
     "bernstein_from_monomial",
     "bernstein_from_root_form",
     "comp_de_casteljau",

@@ -2,11 +2,14 @@
 
 Every function here returns floating point results together with the exact
 rounding errors of the operations that produced them, as floating point
-numbers.  "Exact" is meant literally: for two_sum, ``result + error`` equals
-``a + b`` as a real number (checkable in rational arithmetic), and likewise
-for the product transforms.  These identities hold in IEEE-754 binary64
-round-to-nearest provided no overflow occurs, and for the product transforms
-provided no underflow occurs in the partial products.
+numbers.  The transforms return plain 2-tuples ``(result, error)`` (``(high,
+low)`` for :func:`split`), unpacked at the call site.  "Exact" is meant
+literally: for two_sum, ``result + error`` equals ``a + b`` as a real number
+(checkable in rational arithmetic), and likewise for the product transforms.
+These identities hold in IEEE-754 binary64 round-to-nearest provided no
+overflow occurs, and for the product transforms provided no underflow occurs
+in the partial products; then ``abs(error) <= u * abs(result)`` with
+u = 2**-53.
 
 The kernels are branch free and use only ``+``, ``-`` and ``*`` on the
 operands, in a fixed order.  Nothing here may be re-associated or contracted
@@ -18,35 +21,14 @@ flop-count instrumentation) passes through untouched.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-
-class EftPair(NamedTuple):
-    """Result of an error-free transformation.
-
-    ``result`` is the correctly rounded value of the exact operation and
-    ``error`` the remainder, so ``result + error`` reproduces the exact
-    value.  Absent overflow/underflow, ``abs(error) <= u * abs(result)``
-    with u = 2**-53.
-    """
-
-    result: float
-    error: float
-
-
-class SplitPair(NamedTuple):
-    """A float written as ``high + low`` with each part 26/27-bit wide."""
-
-    high: float
-    low: float
-
+from typing import Sequence
 
 # 2**27 + 1, the Dekker splitter for a 53-bit significand.
 _SPLITTER = 134217729.0
 
 
-def two_sum(a: float, b: float) -> EftPair:
-    """EFT of addition: fl(a+b) and its exact rounding error, 6 flops.
+def two_sum(a: float, b: float) -> tuple[float, float]:
+    """EFT of addition: the tuple ``(fl(a+b), error)``, error exact, 6 flops.
 
     Works for any ordering of magnitudes (no branch on ``abs(a) >= abs(b)``).
     If a+b overflows the contract is void; no check is made.
@@ -54,22 +36,22 @@ def two_sum(a: float, b: float) -> EftPair:
     result = a + b
     z = result - a
     error = (a - (result - z)) + (b - z)
-    return EftPair(result, error)
+    return result, error
 
 
-def split(a: float) -> SplitPair:
-    """Split ``a`` into high and low parts of at most 27 and 26 bits.
+def split(a: float) -> tuple[float, float]:
+    """Split ``a`` into the tuple ``(high, low)`` of at most 27 and 26 bits.
 
     ``high + low == a`` exactly.  4 flops.  Requires ``abs(a) < 2**996`` so
     that ``a * (2**27 + 1)`` does not overflow; not checked.
     """
     z = a * _SPLITTER
     high = z - (z - a)
-    return SplitPair(high, a - high)
+    return high, a - high
 
 
-def two_prod(a: float, b: float) -> EftPair:
-    """EFT of multiplication via Dekker splitting, 17 flops.
+def two_prod(a: float, b: float) -> tuple[float, float]:
+    """EFT of multiplication via Dekker splitting: ``(fl(a*b), error)``, 17 flops.
 
     ``result + error == a * b`` exactly when no overflow occurs and no
     partial product underflows.  With underflow the error term is only
@@ -79,7 +61,7 @@ def two_prod(a: float, b: float) -> EftPair:
     ah, al = split(a)
     bh, bl = split(b)
     error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
-    return EftPair(result, error)
+    return result, error
 
 
 try:
@@ -97,8 +79,8 @@ except ImportError:
             return float("inf") if exact > 0 else float("-inf")
 
 
-def two_prod_fma(a: float, b: float) -> EftPair:
-    """EFT of multiplication via a fused multiply-add, 2 flops.
+def two_prod_fma(a: float, b: float) -> tuple[float, float]:
+    """EFT of multiplication via fused multiply-add: ``(fl(a*b), error)``, 2 flops.
 
     Bitwise identical to :func:`two_prod` wherever neither over- nor
     underflows.  ``math.fma`` only exists on Python >= 3.13, so on older
@@ -110,7 +92,7 @@ def two_prod_fma(a: float, b: float) -> EftPair:
     """
     result = a * b
     error = _fma(a, b, -result)
-    return EftPair(result, error)
+    return result, error
 
 
 def vec_sum(p: Sequence[float]) -> list[float]:

@@ -64,38 +64,6 @@ class MonomialPoly:
 
 
 @dataclass(frozen=True)
-class ErrorVector:
-    """The inputs of one local-error accumulation at filtration stage F.
-
-    ``entries`` holds the 5F - 2 rounding-error terms collected so far at
-    one triangle site, ``rho`` the residual of 1 - s, and ``delta_b`` the
-    error-triangle value multiplying it.
-    """
-
-    entries: tuple[float, ...]
-    rho: float
-    delta_b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        m = len(self.entries)
-        if m < 3 or (m + 2) % 5 != 0:
-            raise ValueError(
-                f"error vector length must be 5F - 2 for a stage F >= 1, got {m}"
-            )
-
-    @property
-    def stage(self) -> int:
-        return (len(self.entries) + 2) // 5
-
-    def accumulate(self) -> float:
-        return local_error(self.entries, self.rho, self.delta_b)
-
-    def accumulate_eft(self) -> tuple[list[float], float]:
-        return local_error_eft(self.entries, self.rho, self.delta_b)
-
-
-@dataclass(frozen=True)
 class CompensationTrace:
     """Full state of a K-fold compensated evaluation, for auditing.
 
@@ -159,10 +127,10 @@ def comp_de_casteljau(p: PolyLike, s: float) -> float:
         new_base = []
         new_err = []
         for j in range(level + 1):
-            prod_r = two_prod(r_hat, base[j])
-            prod_s = two_prod(s, base[j + 1])
-            value, sigma = two_sum(prod_r.result, prod_s.result)
-            local = prod_r.error + prod_s.error + sigma + (rho * base[j])
+            pr, pr_err = two_prod(r_hat, base[j])
+            ps, ps_err = two_prod(s, base[j + 1])
+            value, sigma = two_sum(pr, ps)
+            local = pr_err + ps_err + sigma + (rho * base[j])
             new_err.append(local + (s * err[j + 1]) + (r_hat * err[j]))
             new_base.append(value)
         base = new_base
@@ -241,19 +209,19 @@ def comp_de_casteljau_k(
         new_base = []
         new_errs = [[] for _ in range(k - 1)]
         for j in range(level + 1):
-            prod_r = two_prod(r_hat, base[j])
-            prod_s = two_prod(s, base[j + 1])
-            value, sigma = two_sum(prod_r.result, prod_s.result)
+            pr, pr_err = two_prod(r_hat, base[j])
+            ps, ps_err = two_prod(s, base[j + 1])
+            value, sigma = two_sum(pr, ps)
             new_base.append(value)
-            e = [prod_r.error, prod_s.error, sigma]
+            e = [pr_err, ps_err, sigma]
             delta_b = base[j]
             for f in range(k - 2):
                 eta, l_hat = local_error_eft(e, rho, delta_b)
-                prod_s2 = two_prod(s, errs[f][j + 1])
-                part, t2 = two_sum(l_hat, prod_s2.result)
-                prod_r2 = two_prod(r_hat, errs[f][j])
-                updated, t4 = two_sum(part, prod_r2.result)
-                eta.extend((prod_s2.error, t2, prod_r2.error, t4))
+                ps2, t1 = two_prod(s, errs[f][j + 1])
+                part, t2 = two_sum(l_hat, ps2)
+                pr2, t3 = two_prod(r_hat, errs[f][j])
+                updated, t4 = two_sum(part, pr2)
+                eta.extend((t1, t2, t3, t4))
                 new_errs[f].append(updated)
                 e = eta
                 delta_b = errs[f][j]

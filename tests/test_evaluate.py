@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from casteljau import (
     BernsteinPoly,
-    ErrorVector,
     MonomialPoly,
     comp_de_casteljau,
     comp_de_casteljau_k,
@@ -53,23 +52,6 @@ class TestPolyTypes:
             BernsteinPoly([1.0, math.inf])
         with pytest.raises(ValueError):
             MonomialPoly([math.nan])
-
-    def test_error_vector_stage(self):
-        ev = ErrorVector(entries=(1.0, 2.0, 3.0), rho=0.5, delta_b=1.0)
-        assert ev.stage == 1
-        ev8 = ErrorVector(entries=(0.0,) * 8, rho=0.0, delta_b=0.0)
-        assert ev8.stage == 2
-
-    def test_error_vector_bad_length(self):
-        with pytest.raises(ValueError):
-            ErrorVector(entries=(1.0, 2.0), rho=0.0, delta_b=0.0)
-        with pytest.raises(ValueError):
-            ErrorVector(entries=(1.0,) * 4, rho=0.0, delta_b=0.0)
-
-    def test_error_vector_accumulate_matches_functions(self):
-        ev = ErrorVector(entries=(0.25, -1.5, 2.0**-40), rho=2.0**-53, delta_b=-3.0)
-        assert ev.accumulate() == local_error(ev.entries, ev.rho, ev.delta_b)
-        assert ev.accumulate_eft() == local_error_eft(ev.entries, ev.rho, ev.delta_b)
 
 
 class TestDeCasteljau:
@@ -176,28 +158,28 @@ def replay_cascade(coeffs, s, k):
         new_base = []
         new_errs = [[] for _ in range(k - 1)]
         for j in range(level + 1):
-            pr = two_prod(r_hat, base[j])
-            ps = two_prod(s, base[j + 1])
-            value, sigma = two_sum(pr.result, ps.result)
+            pr, pr_err = two_prod(r_hat, base[j])
+            ps, ps_err = two_prod(s, base[j + 1])
+            value, sigma = two_sum(pr, ps)
             # base-stage identity: r_hat*b_j + s*b_{j+1} == value + residuals
             assert Fraction(r_hat) * Fraction(base[j]) + Fraction(s) * Fraction(
                 base[j + 1]
-            ) == Fraction(value) + Fraction(pr.error) + Fraction(ps.error) + Fraction(
+            ) == Fraction(value) + Fraction(pr_err) + Fraction(ps_err) + Fraction(
                 sigma
             )
             new_base.append(value)
-            e = [pr.error, ps.error, sigma]
+            e = [pr_err, ps_err, sigma]
             delta_b = base[j]
             for f in range(k - 2):
                 stage = f + 1
                 assert len(e) == 5 * stage - 2
                 eta, l_hat = local_error_eft(e, rho, delta_b)
                 assert len(eta) == 5 * stage - 1
-                ps2 = two_prod(s, errs[f][j + 1])
-                part, t2 = two_sum(l_hat, ps2.result)
-                pr2 = two_prod(r_hat, errs[f][j])
-                updated, t4 = two_sum(part, pr2.result)
-                eta.extend((ps2.error, t2, pr2.error, t4))
+                ps2, t1 = two_prod(s, errs[f][j + 1])
+                part, t2 = two_sum(l_hat, ps2)
+                pr2, t3 = two_prod(r_hat, errs[f][j])
+                updated, t4 = two_sum(part, pr2)
+                eta.extend((t1, t2, t3, t4))
                 assert len(eta) == 5 * (stage + 1) - 2
                 # stage identity: carried error + convex combination of the
                 # error triangle == updated value + all fresh residuals

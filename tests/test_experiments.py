@@ -1,6 +1,7 @@
 """Experiment runners and CLI: determinism, schema, built-in assertions."""
 
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import casteljau
 from casteljau import exact_eval
 from casteljau.cli import main
 from casteljau.experiments import (
@@ -217,11 +219,16 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
+        # The child imports the same package as this process, installed or not.
+        src = str(Path(casteljau.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "casteljau", "condition-sweep", "--points", "3",
              "--k", "2", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text(encoding="utf-8").splitlines()
