@@ -1,8 +1,7 @@
 """Compensated de Casteljau evaluation of Bernstein-form polynomials.
 
 The package provides error-free transformation kernels (:mod:`.eft`), the
-plain, compensated, and K-fold compensated triangle evaluators
-(:mod:`.evaluate`), an exact rational oracle (:mod:`.oracle`), flop-count
+plain and K-fold compensated triangle evaluators (:mod:`.evaluate`), an exact rational oracle (:mod:`.oracle`), flop-count
 instrumentation (:mod:`.counting`), and deterministic accuracy experiments
 with a CLI (:mod:`.experiments`, ``casteljau`` / ``python -m casteljau``).
 """
@@ -13,7 +12,6 @@ from .evaluate import (
     BernsteinPoly,
     CompensationTrace,
     MonomialPoly,
-    comp_de_casteljau,
     comp_de_casteljau_k,
     de_casteljau,
     flop_count,
@@ -23,7 +21,6 @@ from .evaluate import (
 )
 from .oracle import (
     ConditionReport,
-    ExactScalar,
     bernstein_from_monomial,
     bernstein_from_root_form,
     condition_number,
@@ -41,12 +38,10 @@ __all__ = [
     "CompensationTrace",
     "ConditionReport",
     "CountingFloat",
-    "ExactScalar",
     "FlopCounter",
     "MonomialPoly",
     "bernstein_from_monomial",
     "bernstein_from_root_form",
-    "comp_de_casteljau",
     "comp_de_casteljau_k",
     "condition_number",
     "count_evaluation_flops",

@@ -71,26 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="number of sweep points per window",
         )
-        p.add_argument(
-            "--format",
-            choices=("csv",),
-            default="csv",
-            dest="fmt",
-            help="sweep output format (text reports ignore this)",
-        )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(
-            experiment=args.experiment,
-            k_list=args.k,
-            out=args.out,
-            points=args.points,
-            fmt=args.fmt,
-        )
+        config = ExperimentConfig(k_list=args.k, out=args.out, points=args.points)
         result = _RUNNERS[args.experiment](config)
     except CheckFailed as exc:
         print(f"regression check failed: {exc}", file=sys.stderr)

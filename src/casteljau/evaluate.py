@@ -1,13 +1,13 @@
 """Polynomial evaluation in Bernstein form by the de Casteljau recurrence.
 
-Three evaluators live here.  ``de_casteljau`` is the plain convex-combination
-triangle.  ``comp_de_casteljau`` runs the same triangle but uses error-free
-transformations to capture the rounding error of every update, propagates
-those errors through a second triangle, and adds the accumulated correction
-at the end; the result behaves as if computed in twice the working
-precision.  ``comp_de_casteljau_k`` generalizes this to K triangles: the
+Two triangle evaluators live here.  ``de_casteljau`` is the plain
+convex-combination triangle.  ``comp_de_casteljau_k`` runs the same triangle
+but uses error-free transformations to capture the rounding error of every
+update and propagates those errors through K - 1 further triangles: the
 rounding errors of error triangle F become the input data of triangle F+1,
-and the K leading values are combined with a K-fold compensated sum.
+and the K leading values are combined with a K-fold compensated sum.  The
+result behaves as if computed in K times the working precision; K = 2 is
+the classic once-compensated algorithm.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each variant.
@@ -25,6 +25,15 @@ from typing import Sequence, Union
 from .eft import sum_k, two_prod, two_sum
 
 
+def _finite_coeffs(coeffs: Sequence[float], kind: str) -> tuple[float, ...]:
+    vals = tuple(x if isinstance(x, float) else float(x) for x in coeffs)
+    if not vals:
+        raise ValueError(f"{kind} needs at least one coefficient")
+    if not all(math.isfinite(x) for x in vals):
+        raise ValueError(f"{kind} coefficients must be finite")
+    return vals
+
+
 @dataclass(frozen=True)
 class BernsteinPoly:
     """Coefficients b_0..b_n of p(s) = sum_j b_j * C(n,j) (1-s)^(n-j) s^j."""
@@ -32,12 +41,7 @@ class BernsteinPoly:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Sequence[float]):
-        vals = tuple(x if isinstance(x, float) else float(x) for x in coeffs)
-        if not vals:
-            raise ValueError("BernsteinPoly needs at least one coefficient")
-        if not all(math.isfinite(x) for x in vals):
-            raise ValueError("BernsteinPoly coefficients must be finite")
-        object.__setattr__(self, "coeffs", vals)
+        object.__setattr__(self, "coeffs", _finite_coeffs(coeffs, "BernsteinPoly"))
 
     @property
     def degree(self) -> int:
@@ -51,12 +55,7 @@ class MonomialPoly:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Sequence[float]):
-        vals = tuple(x if isinstance(x, float) else float(x) for x in coeffs)
-        if not vals:
-            raise ValueError("MonomialPoly needs at least one coefficient")
-        if not all(math.isfinite(x) for x in vals):
-            raise ValueError("MonomialPoly coefficients must be finite")
-        object.__setattr__(self, "coeffs", vals)
+        object.__setattr__(self, "coeffs", _finite_coeffs(coeffs, "MonomialPoly"))
 
     @property
     def degree(self) -> int:
@@ -93,49 +92,27 @@ def _zero_like(x: float) -> float:
     return maker() if maker is not None else 0.0
 
 
+def _check_point(s: float) -> None:
+    if not math.isfinite(s):
+        raise ValueError(f"evaluation point s must be finite, got {s!r}")
+
+
 def de_casteljau(p: PolyLike, s: float) -> float:
     """Evaluate a Bernstein-form polynomial by repeated convex combination.
 
     Runs the plain triangle with r = fl(1 - s): 3*T_n + 1 flops for degree n
     (T_n the n-th triangular number).  For s in [0, 1] the absolute error is
     at most g(3n) * ptilde(s) where g(m) = m*u/(1 - m*u) and ptilde sums the
-    absolute coefficients against the basis.
+    absolute coefficients against the basis.  Raises ValueError for a
+    non-finite s.
     """
     coeffs = _bernstein(p).coeffs
+    _check_point(s)
     r = 1.0 - s
     row = list(coeffs)
     for level in range(len(row) - 2, -1, -1):
         row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
     return row[0]
-
-
-def comp_de_casteljau(p: PolyLike, s: float) -> float:
-    """de Casteljau with first-order error compensation.
-
-    Every triangle update is performed with error-free transformations; the
-    captured per-site rounding errors feed a parallel error triangle, and
-    the final value is the base result plus the accumulated correction.
-    The relative error is bounded by u + 2*g(3n)**2 * cond(p, s), so the
-    result stays accurate until the condition number reaches about 1/u.
-    """
-    coeffs = _bernstein(p).coeffs
-    r_hat, rho = two_sum(1.0, -s)
-    zero = _zero_like(s)
-    base = list(coeffs)
-    err = [zero] * len(coeffs)
-    for level in range(len(coeffs) - 2, -1, -1):
-        new_base = []
-        new_err = []
-        for j in range(level + 1):
-            pr, pr_err = two_prod(r_hat, base[j])
-            ps, ps_err = two_prod(s, base[j + 1])
-            value, sigma = two_sum(pr, ps)
-            local = pr_err + ps_err + sigma + (rho * base[j])
-            new_err.append(local + (s * err[j + 1]) + (r_hat * err[j]))
-            new_base.append(value)
-        base = new_base
-        err = new_err
-    return base[0] + err[0]
 
 
 def local_error_eft(
@@ -187,6 +164,11 @@ def comp_de_casteljau_k(
 
     With ``capture=True`` (k >= 2 only) also returns the full triangle state
     as a :class:`CompensationTrace`.
+
+    Raises ValueError for a non-finite s.  For k >= 2 the products go
+    through ``split``, which needs |x| < 2**996; an intermediate beyond that
+    (or beyond the float range) makes the result non-finite, and that is
+    raised as OverflowError rather than returned.
     """
     poly = _bernstein(p)
     if k < 1:
@@ -196,6 +178,7 @@ def comp_de_casteljau_k(
             raise ValueError("capture requires k >= 2; k=1 has no error triangles")
         return de_casteljau(poly, s)
 
+    _check_point(s)
     n = poly.degree
     r_hat, rho = two_sum(1.0, -s)
     zero = _zero_like(s)
@@ -238,6 +221,13 @@ def comp_de_casteljau_k(
                 err_levels[f].append(tuple(errs[f]))
 
     result = sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k)
+    # Coefficients and s are finite, and inf or nan never cancels out of the
+    # triangles, so a non-finite result means some intermediate overflowed.
+    if not math.isfinite(result):
+        raise OverflowError(
+            f"K={k} compensated evaluation overflowed: split needs every "
+            "product operand below 2**996 in magnitude"
+        )
     if not capture:
         return result
     # Levels were appended n down to 0; store them indexed by level.

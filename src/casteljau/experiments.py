@@ -28,9 +28,7 @@ from .counting import count_evaluation_flops
 from .evaluate import (
     BernsteinPoly,
     MonomialPoly,
-    comp_de_casteljau,
     comp_de_casteljau_k,
-    de_casteljau,
     flop_count,
     horner,
 )
@@ -38,7 +36,7 @@ from .oracle import (
     ConditionReport,
     bernstein_from_root_form,
     condition_number,
-    nearest_float,
+    relative_error,
 )
 
 U = 2.0**-53
@@ -64,19 +62,15 @@ class CheckFailed(RuntimeError):
 class ExperimentConfig:
     """Run parameters shared by all experiment runners."""
 
-    experiment: str
     k_list: tuple[int, ...] = ()
     out: Optional[Path] = None
     points: Optional[int] = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if any(not 1 <= k <= 8 for k in self.k_list):
             raise ValueError(f"k values must lie in 1..8, got {self.k_list}")
         if self.points is not None and self.points < 2:
             raise ValueError(f"point count must be >= 2, got {self.points}")
-        if self.fmt != "csv":
-            raise ValueError(f"unsupported output format {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +117,7 @@ def _decimal_string(x: Fraction, digits: int = 40) -> str:
 
 def _record(s: float, method: str, k: int, value: float, report: ConditionReport) -> SweepRecord:
     exact = report.exact_value
-    if exact == 0:
-        rel_err = abs(value)
-    else:
-        rel_err = nearest_float(abs(Fraction(value) - exact) / abs(exact))
+    rel_err = abs(value) if exact == 0 else relative_error(value, exact)
     return SweepRecord(
         s_hex=s.hex(),
         s_dec=repr(s),
@@ -184,19 +175,13 @@ def run_root_neighborhood(config: ExperimentConfig) -> list[SweepRecord]:
     absolute errors in the rel_err column only at s == 3/4 itself (the lone
     exact root among the points).
     """
-    methods = (("decasteljau", 1), ("comp", 2), ("compK", 3))
     records = []
     for j in _centered_offsets(config.points or 401):
         s = 0.75 + (j * 5e-8)
         report = condition_number(OCTIC, s)
-        for method, k in methods:
-            if k == 1:
-                value = de_casteljau(OCTIC, s)
-            elif k == 2:
-                value = comp_de_casteljau(OCTIC, s)
-            else:
-                value = comp_de_casteljau_k(OCTIC, s, k)
-            records.append(_record(s, method, k, value, report))
+        for k in (1, 2, 3):
+            value = comp_de_casteljau_k(OCTIC, s, k)
+            records.append(_record(s, _method_for(k), k, value, report))
     return _emit(records, config)
 
 
@@ -233,12 +218,7 @@ def run_condition_sweep(config: ExperimentConfig) -> list[SweepRecord]:
             )
         last_cond = report.cond
         for k in k_list:
-            if k == 1:
-                value = de_casteljau(OCTIC, s)
-            elif k == 2:
-                value = comp_de_casteljau(OCTIC, s)
-            else:
-                value = comp_de_casteljau_k(OCTIC, s, k)
+            value = comp_de_casteljau_k(OCTIC, s, k)
             records.append(_record(s, _method_for(k), k, value, report))
     return _emit(records, config)
 
@@ -259,17 +239,19 @@ def run_cubic_comparison(config: ExperimentConfig) -> list[SweepRecord]:
         s = 0.5 + (j * 1e-7)
         report = condition_number(CUBIC_BERNSTEIN, s)
         records.append(_record(s, "horner", 1, horner(CUBIC_MONOMIAL, s), report))
-        records.append(_record(s, "decasteljau", 1, de_casteljau(CUBIC_BERNSTEIN, s), report))
+        value = comp_de_casteljau_k(CUBIC_BERNSTEIN, s, 1)
+        records.append(_record(s, _method_for(1), 1, value, report))
     for j in _centered_offsets(count):
         s = 0.5 + (j * 7.5e-14)
         report = condition_number(QUARTIC, s)
-        records.append(_record(s, "comp", 2, comp_de_casteljau(QUARTIC, s), report))
-        records.append(_record(s, "compK", 3, comp_de_casteljau_k(QUARTIC, s, 3), report))
+        for k in (2, 3):
+            value = comp_de_casteljau_k(QUARTIC, s, k)
+            records.append(_record(s, _method_for(k), k, value, report))
     s = SPOTLIGHT_S
     report = condition_number(QUARTIC, s)
-    records.append(_record(s, "comp", 2, comp_de_casteljau(QUARTIC, s), report))
-    for k in (3, 4):
-        records.append(_record(s, "compK", k, comp_de_casteljau_k(QUARTIC, s, k), report))
+    for k in (2, 3, 4):
+        value = comp_de_casteljau_k(QUARTIC, s, k)
+        records.append(_record(s, _method_for(k), k, value, report))
     return _emit(records, config)
 
 

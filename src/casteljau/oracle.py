@@ -15,11 +15,6 @@ from typing import Sequence, Union
 
 from .evaluate import BernsteinPoly, MonomialPoly
 
-# Arbitrary-precision rational scalar: always reduced, positive denominator,
-# exact conversion from every finite float.  The stdlib type satisfies the
-# whole contract, so it is used directly rather than wrapped.
-ExactScalar = Fraction
-
 RationalLike = Union[int, float, Fraction]
 PolyLike = Union[BernsteinPoly, Sequence[RationalLike]]
 

@@ -10,12 +10,14 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from casteljau import (
-    comp_de_casteljau,
     comp_de_casteljau_k,
     de_casteljau,
     exact_eval,
     p_tilde,
+    two_prod,
+    two_sum,
 )
+from casteljau.evaluate import _bernstein, _zero_like
 
 # Deterministic property testing: the suite doubles as a regression gate, so
 # example generation must not vary between runs.
@@ -57,6 +59,35 @@ def cond_multiplier(n: int, k: int) -> Fraction:
     return q * U**k
 
 
+def once_compensated(coeffs, s):
+    """Reference once-compensated de Casteljau, written out as its own triangle.
+
+    The library evaluates K = 2 through ``comp_de_casteljau_k``; this
+    hand-written twin is kept only so tests can check that path bit for bit.
+    Every update is performed with error-free transformations; the captured
+    per-site rounding errors feed a parallel error triangle, and the final
+    value is the base result plus the accumulated correction.
+    """
+    coeffs = _bernstein(coeffs).coeffs
+    r_hat, rho = two_sum(1.0, -s)
+    zero = _zero_like(s)
+    base = list(coeffs)
+    err = [zero] * len(coeffs)
+    for level in range(len(coeffs) - 2, -1, -1):
+        new_base = []
+        new_err = []
+        for j in range(level + 1):
+            pr, pr_err = two_prod(r_hat, base[j])
+            ps, ps_err = two_prod(s, base[j + 1])
+            value, sigma = two_sum(pr, ps)
+            local = pr_err + ps_err + sigma + (rho * base[j])
+            new_err.append(local + (s * err[j + 1]) + (r_hat * err[j]))
+            new_base.append(value)
+        base = new_base
+        err = new_err
+    return base[0] + err[0]
+
+
 def check_accuracy_bounds(coeffs, s) -> list[str]:
     """Exact per-instance error-bound checks for the three evaluators.
 
@@ -86,7 +117,7 @@ def check_accuracy_bounds(coeffs, s) -> list[str]:
         return out
     cond = tilde / abs(exact)
 
-    comp = comp_de_casteljau(coeffs, s)
+    comp = comp_de_casteljau_k(coeffs, s, 2)
     rel2 = abs(Fraction(comp) - exact) / abs(exact)
     if rel2 > U + 2 * gamma(3 * n) ** 2 * cond:
         out.append(f"compensated bound violated at n={n}, s={s!r}")

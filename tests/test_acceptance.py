@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from casteljau import (
-    comp_de_casteljau,
     comp_de_casteljau_k,
     de_casteljau,
     exact_eval,
@@ -33,7 +32,7 @@ from casteljau.experiments import (
     run_table_reproduction,
 )
 
-from conftest import DATA_DIR, U, check_accuracy_bounds
+from conftest import DATA_DIR, U, check_accuracy_bounds, once_compensated
 
 U_FLOAT = float(U)
 TWO_U = 2 * U
@@ -89,14 +88,14 @@ def test_criterion_3_endpoint_exactness():
         coeffs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-30, 30) for _ in range(n + 1)]
         evaluations = [
             de_casteljau(coeffs, 0.0),
-            comp_de_casteljau(coeffs, 0.0),
+            comp_de_casteljau_k(coeffs, 0.0, 2),
             comp_de_casteljau_k(coeffs, 0.0, 3),
             comp_de_casteljau_k(coeffs, 0.0, 5),
         ]
         assert all(v == coeffs[0] for v in evaluations), (coeffs, evaluations)
         evaluations = [
             de_casteljau(coeffs, 1.0),
-            comp_de_casteljau(coeffs, 1.0),
+            comp_de_casteljau_k(coeffs, 1.0, 2),
             comp_de_casteljau_k(coeffs, 1.0, 3),
             comp_de_casteljau_k(coeffs, 1.0, 5),
         ]
@@ -120,7 +119,7 @@ def test_criterion_4_error_bounds():
 def test_criterion_5_closed_form_triangle():
     # The runner audits all ten triangle entries bitwise and raises on any
     # mismatch; the headline values are re-asserted here directly.
-    lines = run_table_reproduction(ExperimentConfig(experiment="table1"))
+    lines = run_table_reproduction(ExperimentConfig())
     assert lines[-1].endswith("mismatches: 0")
 
     s = 0.5 + 1001 * U_FLOAT
@@ -136,7 +135,7 @@ def test_criterion_5_closed_form_triangle():
 
 def test_criterion_6_condition_sweep_thresholds():
     start = time.monotonic()
-    records = run_condition_sweep(ExperimentConfig(experiment="condition-sweep"))
+    records = run_condition_sweep(ExperimentConfig())
     elapsed = time.monotonic() - start
     assert len(records) == 86 * 4
     assert elapsed < 60.0
@@ -185,7 +184,7 @@ def _sweep_error_extrema(records):
 
 
 def test_criterion_7_root_neighborhood_golden(regen_goldens):
-    config = ExperimentConfig(experiment="root-neighborhood")
+    config = ExperimentConfig()
     first = render_csv(run_root_neighborhood(config))
     second = render_csv(run_root_neighborhood(config))
     assert first == second, "repeated runs must be byte-identical"
@@ -226,7 +225,7 @@ def test_criterion_7_root_neighborhood_golden(regen_goldens):
 def test_criterion_8_flop_accounting():
     # Raises with a per-operation ledger on any (n, k) cell whose
     # instrumented count deviates from the closed form.
-    lines = run_flop_report(ExperimentConfig(experiment="flops", k_list=(1, 2, 3, 4, 5)))
+    lines = run_flop_report(ExperimentConfig(k_list=(1, 2, 3, 4, 5)))
     cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
     assert len(cells) == 7 * 5
     assert all(l.rstrip().endswith("True") for l in cells)
@@ -243,7 +242,7 @@ def test_criterion_9_twofold_matches_once_compensated():
         n = rng.randint(2, 5)
         coeffs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-20, 20) for _ in range(n + 1)]
         s = rng.random()
-        a = comp_de_casteljau(coeffs, s)
+        a = once_compensated(coeffs, s)
         b = comp_de_casteljau_k(coeffs, s, 2)
         assert a == b, (coeffs, s, a, b)
     print(f"criterion 9: {cases} cases exactly equal")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from casteljau import (
     BernsteinPoly,
     MonomialPoly,
-    comp_de_casteljau,
     comp_de_casteljau_k,
     de_casteljau,
     exact_eval,
@@ -23,7 +22,7 @@ from casteljau import (
     two_sum,
 )
 
-from conftest import check_accuracy_bounds, signed_floats
+from conftest import check_accuracy_bounds, once_compensated, signed_floats
 
 CUBIC = BernsteinPoly([-1.0, 1.0, -1.0, 1.0])
 QUARTIC = BernsteinPoly([1.0, -0.75, 0.5, -0.25, 0.0])
@@ -65,16 +64,16 @@ class TestDeCasteljau:
         assert de_casteljau(QUARTIC, 1.0) == 0.0
 
     def test_degree_zero(self):
-        for evaluate in (de_casteljau, comp_de_casteljau):
-            assert evaluate(BernsteinPoly([2.5]), 0.3) == 2.5
-        assert comp_de_casteljau_k(BernsteinPoly([2.5]), 0.3, 4) == 2.5
+        assert de_casteljau(BernsteinPoly([2.5]), 0.3) == 2.5
+        for k in (2, 4):
+            assert comp_de_casteljau_k(BernsteinPoly([2.5]), 0.3, k) == 2.5
 
     @given(st.lists(signed_floats(2.0**-50, 2.0**50), min_size=1, max_size=13))
     def test_endpoint_exactness_all_evaluators(self, coeffs):
         p = BernsteinPoly(coeffs)
         for evaluate in (
             de_casteljau,
-            comp_de_casteljau,
+            lambda q, s: comp_de_casteljau_k(q, s, 2),
             lambda q, s: comp_de_casteljau_k(q, s, 3),
         ):
             assert evaluate(p, 0.0) == coeffs[0]
@@ -84,15 +83,15 @@ class TestDeCasteljau:
 class TestCompDeCasteljau:
     def test_spotlight_point_collapses_to_zero(self):
         # base value u/16 and correction -u/16 cancel exactly
-        assert comp_de_casteljau(QUARTIC, SPOTLIGHT) == 0.0
+        assert comp_de_casteljau_k(QUARTIC, SPOTLIGHT, 2) == 0.0
 
     def test_s_zero(self):
-        assert comp_de_casteljau(CUBIC, 0.0) == -1.0
+        assert comp_de_casteljau_k(CUBIC, 0.0, 2) == -1.0
 
     def test_equals_plain_when_everything_is_exact(self):
         # dyadic data, s = 0.5: every update is exact, no compensation needed
         p = BernsteinPoly([1.0, 2.0, 3.0, 4.0])
-        assert comp_de_casteljau(p, 0.5) == de_casteljau(p, 0.5) == float(
+        assert comp_de_casteljau_k(p, 0.5, 2) == de_casteljau(p, 0.5) == float(
             exact_eval(p, 0.5)
         )
 
@@ -225,6 +224,23 @@ class TestCompDeCasteljauK:
         with pytest.raises(ValueError):
             comp_de_casteljau_k([], 0.5, 2)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_rejected(self, s, k):
+        with pytest.raises(ValueError, match="finite"):
+            comp_de_casteljau_k(CUBIC, s, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_overflow_raises(self, k):
+        # The plain triangle gives 2.009e+300 here; split(2**1000) overflows.
+        with pytest.raises(OverflowError, match=r"2\*\*996"):
+            comp_de_casteljau_k([2.0**1000, -(2.0**1000), 1.0], 0.25, k)
+
+    def test_just_inside_split_range(self):
+        coeffs = [2.0**995, -(2.0**995), 1.0]
+        value = comp_de_casteljau_k(coeffs, 0.25, 3)
+        assert value == float(exact_eval(coeffs, 0.25)) == 6.278370745232035e298
+
     def test_spotlight_k4_is_correctly_rounded(self):
         value = comp_de_casteljau_k(QUARTIC, SPOTLIGHT, 4)
         exact = exact_eval(QUARTIC, SPOTLIGHT)
@@ -274,17 +290,13 @@ class TestCompDeCasteljauK:
 
     def test_k2_consistency_with_comp(self):
         rng = random.Random(2024)
-        equal = 0
-        cases = 300
-        for _ in range(cases):
+        for _ in range(300):
             n = rng.randint(1, 8)
             coeffs = [rng.uniform(-3, 3) for _ in range(n + 1)]
             s = rng.random()
-            a = comp_de_casteljau(coeffs, s)
+            a = once_compensated(coeffs, s)
             b = comp_de_casteljau_k(coeffs, s, 2)
-            assert b == a or b == math.nextafter(a, b)
-            equal += a == b
-        assert equal == cases  # empirically always identical
+            assert a == b, (coeffs, s, a, b)
 
     def test_accuracy_bounds_random_sample(self):
         rng = random.Random(41)

@@ -32,39 +32,31 @@ from conftest import U, cond_multiplier
 TWO_U = 2 * U
 
 
-def config(experiment, **kw):
-    return ExperimentConfig(experiment=experiment, **kw)
-
-
 @pytest.fixture(scope="module")
 def sweep_records():
-    return run_condition_sweep(config("condition-sweep"))
+    return run_condition_sweep(ExperimentConfig())
 
 
 @pytest.fixture(scope="module")
 def cubic_records():
-    return run_cubic_comparison(config("cubic-compare"))
+    return run_cubic_comparison(ExperimentConfig())
 
 
 class TestConfig:
     def test_k_range_enforced(self):
         with pytest.raises(ValueError):
-            config("condition-sweep", k_list=(0,))
+            ExperimentConfig(k_list=(0,))
         with pytest.raises(ValueError):
-            config("condition-sweep", k_list=(9,))
+            ExperimentConfig(k_list=(9,))
 
     def test_point_minimum_enforced(self):
         with pytest.raises(ValueError):
-            config("root-neighborhood", points=1)
-
-    def test_format_restricted(self):
-        with pytest.raises(ValueError):
-            config("root-neighborhood", fmt="json")
+            ExperimentConfig(points=1)
 
 
 class TestCsvShape:
     def test_header_and_field_count(self):
-        records = run_root_neighborhood(config("root-neighborhood", points=5))
+        records = run_root_neighborhood(ExperimentConfig(points=5))
         text = render_csv(records)
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
@@ -72,33 +64,33 @@ class TestCsvShape:
         assert text.endswith("\n") and "\r" not in text
 
     def test_value_hex_round_trips(self):
-        for r in run_root_neighborhood(config("root-neighborhood", points=7)):
+        for r in run_root_neighborhood(ExperimentConfig(points=7)):
             assert float.fromhex(r.value_hex).hex() == r.value_hex
             assert float.fromhex(r.s_hex) == float(r.s_dec)
 
     def test_rows_sorted_by_point_method_k(self):
-        records = run_cubic_comparison(config("cubic-compare", points=9))
+        records = run_cubic_comparison(ExperimentConfig(points=9))
         keys = [(float.fromhex(r.s_hex), r.method, r.k) for r in records]
         assert keys == sorted(keys)
 
 
 class TestRootNeighborhood:
     def test_default_record_count(self):
-        records = run_root_neighborhood(config("root-neighborhood"))
+        records = run_root_neighborhood(ExperimentConfig())
         assert len(records) == 401 * 3
 
     def test_points_override(self):
-        assert len(run_root_neighborhood(config("root-neighborhood", points=11))) == 33
+        assert len(run_root_neighborhood(ExperimentConfig(points=11))) == 33
 
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        run_root_neighborhood(config("root-neighborhood", points=51, out=a))
-        run_root_neighborhood(config("root-neighborhood", points=51, out=b))
+        run_root_neighborhood(ExperimentConfig(points=51, out=a))
+        run_root_neighborhood(ExperimentConfig(points=51, out=b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_root_row_reports_absolute_error(self):
-        records = run_root_neighborhood(config("root-neighborhood", points=5))
+        records = run_root_neighborhood(ExperimentConfig(points=5))
         root_rows = [r for r in records if float.fromhex(r.s_hex) == 0.75]
         assert len(root_rows) == 3
         for r in root_rows:
@@ -137,7 +129,7 @@ class TestConditionSweep:
                 assert Fraction(r.rel_err) <= curve, (r.k, r.cond, r.rel_err)
 
     def test_k_list_override(self):
-        records = run_condition_sweep(config("condition-sweep", k_list=(2, 5), points=4))
+        records = run_condition_sweep(ExperimentConfig(k_list=(2, 5), points=4))
         assert len(records) == 8
         assert {r.k for r in records} == {2, 5}
 
@@ -175,7 +167,7 @@ class TestCubicComparison:
 class TestTableReproduction:
     def test_audit_passes_and_reports_every_entry(self, tmp_path):
         out = tmp_path / "table.txt"
-        lines = run_table_reproduction(config("table1", out=out))
+        lines = run_table_reproduction(ExperimentConfig(out=out))
         assert out.read_text(encoding="utf-8").splitlines() == lines
         assert "mismatches: 0" in lines[-1]
         # one line per triangle entry below the input row: 4+3+2+1
@@ -186,13 +178,13 @@ class TestTableReproduction:
 
 class TestFlopReport:
     def test_all_cells_match(self):
-        lines = run_flop_report(config("flops"))
+        lines = run_flop_report(ExperimentConfig())
         cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
         assert len(cells) == 7 * 5  # n in 2..8, k in 1..5
         assert all(l.rstrip().endswith("True") for l in cells)
 
     def test_k_list_override(self):
-        lines = run_flop_report(config("flops", k_list=(2,)))
+        lines = run_flop_report(ExperimentConfig(k_list=(2,)))
         cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
         assert len(cells) == 7
 
@@ -238,13 +230,13 @@ class TestCli:
 
 class TestExactBookkeeping:
     def test_exact_dec_has_forty_significant_digits(self):
-        records = run_condition_sweep(config("condition-sweep", points=2, k_list=(1,)))
+        records = run_condition_sweep(ExperimentConfig(points=2, k_list=(1,)))
         for r in records:
             mantissa = r.exact_dec.split("E")[0].replace("-", "").replace(".", "")
             assert len(mantissa.lstrip("0")) in (39, 40)
 
     def test_exact_dec_close_to_oracle(self):
-        records = run_root_neighborhood(config("root-neighborhood", points=3))
+        records = run_root_neighborhood(ExperimentConfig(points=3))
         for r in records:
             exact = exact_eval(OCTIC, float.fromhex(r.s_hex))
             if exact != 0:
