@@ -1,4 +1,4 @@
-"""Command-line front end for the accuracy experiments."""
+"""Command-line front end: the one place that validates flags and writes output."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 
 from .experiments import (
     CheckFailed,
-    ExperimentConfig,
     render_csv,
     run_condition_sweep,
     run_cubic_comparison,
@@ -26,6 +25,18 @@ _RUNNERS = {
     "flops": run_flop_report,
 }
 
+# Help text, and the runner parameters each experiment takes as flags.
+_EXPERIMENTS = {
+    "root-neighborhood": ("sweep the octic across its multiple root at 3/4", ("points",)),
+    "condition-sweep": (
+        "walk the octic's condition number up geometrically",
+        ("k_list", "points"),
+    ),
+    "table1": ("audit the once-compensated quartic triangle entry by entry", ()),
+    "cubic-compare": ("Horner vs de Casteljau, and K=2 vs K=3 near 1/2", ("points",)),
+    "flops": ("closed-form flop counts vs instrumented operation tallies", ("k_list",)),
+}
+
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
     try:
@@ -34,7 +45,25 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty k list")
+    if any(not 1 <= k <= 8 for k in values):
+        raise argparse.ArgumentTypeError(f"k values must lie in 1..8, got {text!r}")
     return values
+
+
+def _parse_points(text: str) -> int:
+    try:
+        points = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"point count must be >= 2, got {points}")
+    return points
+
+
+_FLAGS = {
+    "k_list": ("--k", _parse_k_list, "LIST", "comma-separated K values, each in 1..8"),
+    "points": ("--points", _parse_points, "N", "number of sweep points per window, at least 2"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,50 +75,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    descriptions = {
-        "root-neighborhood": "sweep the octic across its multiple root at 3/4",
-        "condition-sweep": "walk the octic's condition number up geometrically",
-        "table1": "audit the once-compensated quartic triangle entry by entry",
-        "cubic-compare": "Horner vs de Casteljau, and K=2 vs K=3 near 1/2",
-        "flops": "closed-form flop counts vs instrumented operation tallies",
-    }
-    for name, runner in _RUNNERS.items():
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument(
-            "--k",
-            type=_parse_k_list,
-            default=(),
-            metavar="LIST",
-            help="comma-separated K values (condition-sweep and flops; "
-            "other experiments use fixed method sets)",
-        )
-        p.add_argument("--out", type=Path, default=None, help="output file path")
-        p.add_argument(
-            "--points",
-            type=int,
-            default=None,
-            metavar="N",
-            help="number of sweep points per window",
-        )
+    for name, (description, params) in _EXPERIMENTS.items():
+        # An omitted flag passes nothing, so the runner's default applies.
+        p = sub.add_parser(name, help=description, argument_default=argparse.SUPPRESS)
+        p.add_argument("--out", type=Path, help="output file path")
+        for param in params:
+            flag, parse, metavar, help_text = _FLAGS[param]
+            p.add_argument(flag, dest=param, type=parse, metavar=metavar, help=help_text)
     return parser
 
 
+def _render(result: Sequence) -> str:
+    if result and isinstance(result[0], str):
+        return "\n".join(result) + "\n"
+    return render_csv(result)
+
+
+def _write(text: str, out: Optional[Path]) -> None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    experiment = options.pop("experiment")
+    out = options.pop("out", None)
     try:
-        config = ExperimentConfig(k_list=args.k, out=args.out, points=args.points)
-        result = _RUNNERS[args.experiment](config)
+        result = _RUNNERS[experiment](**options)
     except CheckFailed as exc:
+        if exc.report:
+            _write(_render(exc.report), out)
         print(f"regression check failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out is None:
-        if result and isinstance(result[0], str):
-            sys.stdout.write("\n".join(result) + "\n")
-        else:
-            sys.stdout.write(render_csv(result))
+    _write(_render(result), out)
     return 0
 
 

@@ -97,6 +97,15 @@ def _check_point(s: float) -> None:
         raise ValueError(f"evaluation point s must be finite, got {s!r}")
 
 
+def _check_result(result: float, k: int) -> float:
+    # Coefficients and s are finite, and inf or nan never cancels out of the
+    # triangles, so a non-finite result means some intermediate overflowed.
+    if not math.isfinite(result):
+        limit = "; split needs every product operand below 2**996" if k >= 2 else ""
+        raise OverflowError(f"K={k} evaluation overflowed the float range{limit}")
+    return result
+
+
 def de_casteljau(p: PolyLike, s: float) -> float:
     """Evaluate a Bernstein-form polynomial by repeated convex combination.
 
@@ -104,7 +113,8 @@ def de_casteljau(p: PolyLike, s: float) -> float:
     (T_n the n-th triangular number).  For s in [0, 1] the absolute error is
     at most g(3n) * ptilde(s) where g(m) = m*u/(1 - m*u) and ptilde sums the
     absolute coefficients against the basis.  Raises ValueError for a
-    non-finite s.
+    non-finite s, and OverflowError when an intermediate leaves the float
+    range.
     """
     coeffs = _bernstein(p).coeffs
     _check_point(s)
@@ -112,7 +122,7 @@ def de_casteljau(p: PolyLike, s: float) -> float:
     row = list(coeffs)
     for level in range(len(row) - 2, -1, -1):
         row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
-    return row[0]
+    return _check_result(row[0], 1)
 
 
 def local_error_eft(
@@ -165,10 +175,10 @@ def comp_de_casteljau_k(
     With ``capture=True`` (k >= 2 only) also returns the full triangle state
     as a :class:`CompensationTrace`.
 
-    Raises ValueError for a non-finite s.  For k >= 2 the products go
-    through ``split``, which needs |x| < 2**996; an intermediate beyond that
-    (or beyond the float range) makes the result non-finite, and that is
-    raised as OverflowError rather than returned.
+    Raises ValueError for a non-finite s.  An intermediate beyond the float
+    range (for k >= 2 also beyond |x| < 2**996, which ``split`` needs) makes
+    the result non-finite, and that is raised as OverflowError rather than
+    returned.
     """
     poly = _bernstein(p)
     if k < 1:
@@ -220,14 +230,7 @@ def comp_de_casteljau_k(
             for f in range(k - 1):
                 err_levels[f].append(tuple(errs[f]))
 
-    result = sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k)
-    # Coefficients and s are finite, and inf or nan never cancels out of the
-    # triangles, so a non-finite result means some intermediate overflowed.
-    if not math.isfinite(result):
-        raise OverflowError(
-            f"K={k} compensated evaluation overflowed: split needs every "
-            "product operand below 2**996 in magnitude"
-        )
+    result = _check_result(sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k), k)
     if not capture:
         return result
     # Levels were appended n down to 0; store them indexed by level.

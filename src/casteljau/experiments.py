@@ -1,11 +1,11 @@
-"""Deterministic accuracy experiments, emitted as CSV or text reports.
+"""Deterministic accuracy experiments, returned as CSV records or text reports.
 
 Each runner sweeps a fixed family of evaluation points on a fixed
 polynomial, compares every computed value against the exact rational oracle,
-and emits one record per (point, method).  Points are constructed by plain
-float arithmetic, left to right, exactly as written, and every float lands
-in the output as a hexadecimal literal, so runs are byte-for-byte
-reproducible across machines.
+and returns one record per (point, method); runners write nothing.  Points
+are constructed by plain float arithmetic, left to right, exactly as
+written, and every float lands in the output as a hexadecimal literal, so
+runs are byte-for-byte reproducible across machines.
 
 The test polynomials:
 
@@ -21,12 +21,10 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .counting import count_evaluation_flops
 from .evaluate import (
-    BernsteinPoly,
     MonomialPoly,
     comp_de_casteljau_k,
     flop_count,
@@ -36,6 +34,7 @@ from .oracle import (
     ConditionReport,
     bernstein_from_root_form,
     condition_number,
+    exact_eval,
     relative_error,
 )
 
@@ -55,22 +54,14 @@ CSV_HEADER = ("s_hex", "s_dec", "method", "k", "value_hex", "exact_dec", "rel_er
 
 
 class CheckFailed(RuntimeError):
-    """A built-in regression assertion of an experiment did not hold."""
+    """A built-in regression assertion of an experiment did not hold.
 
+    ``report`` holds the report lines the experiment had built, if any.
+    """
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Run parameters shared by all experiment runners."""
-
-    k_list: tuple[int, ...] = ()
-    out: Optional[Path] = None
-    points: Optional[int] = None
-
-    def __post_init__(self):
-        if any(not 1 <= k <= 8 for k in self.k_list):
-            raise ValueError(f"k values must lie in 1..8, got {self.k_list}")
-        if self.points is not None and self.points < 2:
-            raise ValueError(f"point count must be >= 2, got {self.points}")
+    def __init__(self, message: str, report: Sequence[str] = ()):
+        super().__init__(message)
+        self.report = list(report)
 
 
 @dataclass(frozen=True)
@@ -149,24 +140,12 @@ def render_csv(records: Sequence[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(text: str, out: Optional[Path]) -> None:
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _emit(records: list[SweepRecord], config: ExperimentConfig) -> list[SweepRecord]:
-    _sorted(records)
-    _write_text(render_csv(records), config.out)
-    return records
-
-
 def _centered_offsets(count: int) -> range:
     half = count // 2
     return range(-half, count - half)
 
 
-def run_root_neighborhood(config: ExperimentConfig) -> list[SweepRecord]:
+def run_root_neighborhood(points: int = 401) -> list[SweepRecord]:
     """Sweep the octic across its multiple root at 3/4.
 
     Points are fl(3/4 + fl(j * 5e-8)) for j centered on zero (401 by
@@ -176,13 +155,13 @@ def run_root_neighborhood(config: ExperimentConfig) -> list[SweepRecord]:
     exact root among the points).
     """
     records = []
-    for j in _centered_offsets(config.points or 401):
+    for j in _centered_offsets(points):
         s = 0.75 + (j * 5e-8)
         report = condition_number(OCTIC, s)
         for k in (1, 2, 3):
             value = comp_de_casteljau_k(OCTIC, s, k)
             records.append(_record(s, _method_for(k), k, value, report))
-    return _emit(records, config)
+    return _sorted(records)
 
 
 def _geometric_point(j: int) -> float:
@@ -195,7 +174,9 @@ def _geometric_point(j: int) -> float:
     return 0.75 - (1.0 / power)
 
 
-def run_condition_sweep(config: ExperimentConfig) -> list[SweepRecord]:
+def run_condition_sweep(
+    k_list: Sequence[int] = (1, 2, 3, 4), points: int = 86
+) -> list[SweepRecord]:
     """Walk the octic's condition number up geometrically.
 
     Points are fl(3/4 - 1.3**j) for j = -5 down to -90 by default; as j
@@ -204,11 +185,9 @@ def run_condition_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     asserts strict monotone growth of the condition number, which the
     accuracy-versus-conditioning analysis keys on.
     """
-    k_list = config.k_list or (1, 2, 3, 4)
-    count = config.points or 86
     records = []
     last_cond = None
-    for j in range(-5, -5 - count, -1):
+    for j in range(-5, -5 - points, -1):
         s = _geometric_point(j)
         report = condition_number(OCTIC, s)
         if last_cond is not None and not report.cond > last_cond:
@@ -220,10 +199,10 @@ def run_condition_sweep(config: ExperimentConfig) -> list[SweepRecord]:
         for k in k_list:
             value = comp_de_casteljau_k(OCTIC, s, k)
             records.append(_record(s, _method_for(k), k, value, report))
-    return _emit(records, config)
+    return _sorted(records)
 
 
-def run_cubic_comparison(config: ExperimentConfig) -> list[SweepRecord]:
+def run_cubic_comparison(points: int = 401) -> list[SweepRecord]:
     """Two windows around 1/2: Horner vs plain, and compensated variants.
 
     Window one spans |s - 1/2| <= 2e-5 and pits Horner on the cubic's
@@ -233,15 +212,14 @@ def run_cubic_comparison(config: ExperimentConfig) -> list[SweepRecord]:
     window two with K = 2, 3 and 4 rows: the K=2 value collapses to zero
     there (relative error exactly 1) while K >= 3 stays faithful.
     """
-    count = config.points or 401
     records = []
-    for j in _centered_offsets(count):
+    for j in _centered_offsets(points):
         s = 0.5 + (j * 1e-7)
         report = condition_number(CUBIC_BERNSTEIN, s)
         records.append(_record(s, "horner", 1, horner(CUBIC_MONOMIAL, s), report))
         value = comp_de_casteljau_k(CUBIC_BERNSTEIN, s, 1)
         records.append(_record(s, _method_for(1), 1, value, report))
-    for j in _centered_offsets(count):
+    for j in _centered_offsets(points):
         s = 0.5 + (j * 7.5e-14)
         report = condition_number(QUARTIC, s)
         for k in (2, 3):
@@ -252,18 +230,7 @@ def run_cubic_comparison(config: ExperimentConfig) -> list[SweepRecord]:
     for k in (2, 3, 4):
         value = comp_de_casteljau_k(QUARTIC, s, k)
         records.append(_record(s, _method_for(k), k, value, report))
-    return _emit(records, config)
-
-
-def _exact_levels(p: BernsteinPoly, s: float) -> list[list[Fraction]]:
-    """Exact de Casteljau triangle, indexed [level][j], level n down to 0."""
-    sf = Fraction(s)
-    r = 1 - sf
-    levels = {p.degree: [Fraction(c) for c in p.coeffs]}
-    for level in range(p.degree - 1, -1, -1):
-        prev = levels[level + 1]
-        levels[level] = [r * prev[j] + sf * prev[j + 1] for j in range(level + 1)]
-    return [levels[k] for k in range(p.degree + 1)]
+    return _sorted(records)
 
 
 # Closed forms for the once-compensated run on the quartic at the spotlight
@@ -286,7 +253,7 @@ def _spotlight_reference() -> dict[tuple[int, int], tuple[Fraction, Fraction, Fr
     }
 
 
-def run_table_reproduction(config: ExperimentConfig) -> list[str]:
+def run_table_reproduction() -> list[str]:
     """Audit every triangle entry of the once-compensated quartic run.
 
     Captures the full trace at the spotlight point, checks each computed
@@ -299,7 +266,7 @@ def run_table_reproduction(config: ExperimentConfig) -> list[str]:
     """
     s = SPOTLIGHT_S
     result, trace = comp_de_casteljau_k(QUARTIC, s, 2, capture=True)
-    exact_levels = _exact_levels(QUARTIC, s)
+    coeffs, n = QUARTIC.coeffs, QUARTIC.degree
     reference = _spotlight_reference()
 
     lines = [
@@ -308,12 +275,14 @@ def run_table_reproduction(config: ExperimentConfig) -> list[str]:
         "level j  base_hex               err1_hex               base_ok err1_ok resid_ok",
     ]
     failures = []
-    for level in range(QUARTIC.degree - 1, -1, -1):
+    for level in range(n - 1, -1, -1):
         for j in range(level + 1):
             base = trace.base_triangle[level][j]
             err1 = trace.error_triangles[0][level][j]
             want_base, want_err1, want_resid = reference[(level, j)]
-            resid = exact_levels[level][j] - Fraction(base) - Fraction(err1)
+            # The exact triangle entry (level, j) is p(s) on coefficients j..j+n-level.
+            exact = exact_eval(coeffs[j : j + n - level + 1], s)
+            resid = exact - Fraction(base) - Fraction(err1)
             ok_b = Fraction(base) == want_base
             ok_e = Fraction(err1) == want_err1
             ok_r = resid == want_resid
@@ -332,7 +301,7 @@ def run_table_reproduction(config: ExperimentConfig) -> list[str]:
         ("K=2 result is exactly 0", result == 0.0),
         (
             "exact value is -4t^3 + 8t^4",
-            exact_levels[0][0] == -4 * t**3 + 8 * t**4,
+            exact_eval(QUARTIC, s) == -4 * t**3 + 8 * t**4,
         ),
     ]
     for label, ok in checks:
@@ -340,22 +309,19 @@ def run_table_reproduction(config: ExperimentConfig) -> list[str]:
         if not ok:
             failures.append(label)
     lines.append(f"entries audited: {len(reference)}; mismatches: {len(failures)}")
-    text = "\n".join(lines) + "\n"
-    _write_text(text, config.out)
     if failures:
-        raise CheckFailed(f"triangle audit mismatches: {failures}")
+        raise CheckFailed(f"triangle audit mismatches: {failures}", lines)
     return lines
 
 
-def run_flop_report(config: ExperimentConfig) -> list[str]:
+def run_flop_report(k_list: Sequence[int] = (1, 2, 3, 4, 5)) -> list[str]:
     """Compare closed-form flop counts with instrumented runs.
 
-    Covers degrees 2..8 and K in the configured list (1..5 by default).
+    Covers degrees 2..8 and K in ``k_list`` (1..5 by default).
     Every mismatch fails with the full per-operation ledger.  Also reports
     the cost of the final K-term compensated sum and the savings a fused
     multiply-add variant of the product transform would bring.
     """
-    k_list = config.k_list or (1, 2, 3, 4, 5)
     lines = ["   n   k    formula  instrumented  match"]
     mismatches = []
     for n in range(2, 9):
@@ -377,11 +343,9 @@ def run_flop_report(config: ExperimentConfig) -> list[str]:
             f"n={n}: {15 * (3 * k - 4) * (n * (n + 1) // 2)}" for n in range(2, 9)
         )
         lines.append(f"  k={k}: final sum {sumk_cost} flops; fma would save {savings}")
-    text = "\n".join(lines) + "\n"
-    _write_text(text, config.out)
     if mismatches:
         detail = "; ".join(
             f"n={n} k={k} expected {exp} got [{ledger}]" for n, k, exp, ledger in mismatches
         )
-        raise CheckFailed(f"instrumented flop counts deviate: {detail}")
+        raise CheckFailed(f"instrumented flop counts deviate: {detail}", lines)
     return lines

@@ -24,7 +24,6 @@ from casteljau import (
 )
 from casteljau.experiments import (
     OCTIC,
-    ExperimentConfig,
     render_csv,
     run_condition_sweep,
     run_flop_report,
@@ -119,7 +118,7 @@ def test_criterion_4_error_bounds():
 def test_criterion_5_closed_form_triangle():
     # The runner audits all ten triangle entries bitwise and raises on any
     # mismatch; the headline values are re-asserted here directly.
-    lines = run_table_reproduction(ExperimentConfig())
+    lines = run_table_reproduction()
     assert lines[-1].endswith("mismatches: 0")
 
     s = 0.5 + 1001 * U_FLOAT
@@ -135,7 +134,7 @@ def test_criterion_5_closed_form_triangle():
 
 def test_criterion_6_condition_sweep_thresholds():
     start = time.monotonic()
-    records = run_condition_sweep(ExperimentConfig())
+    records = run_condition_sweep()
     elapsed = time.monotonic() - start
     assert len(records) == 86 * 4
     assert elapsed < 60.0
@@ -184,12 +183,11 @@ def _sweep_error_extrema(records):
 
 
 def test_criterion_7_root_neighborhood_golden(regen_goldens):
-    config = ExperimentConfig()
-    first = render_csv(run_root_neighborhood(config))
-    second = render_csv(run_root_neighborhood(config))
+    first = render_csv(run_root_neighborhood())
+    second = render_csv(run_root_neighborhood())
     assert first == second, "repeated runs must be byte-identical"
 
-    records = run_root_neighborhood(config)
+    records = run_root_neighborhood()
     worst = _sweep_error_extrema(records)
     k3_max = nearest_float(worst[("compK", 3)])
     plain_max = nearest_float(worst[("decasteljau", 1)])
@@ -225,7 +223,7 @@ def test_criterion_7_root_neighborhood_golden(regen_goldens):
 def test_criterion_8_flop_accounting():
     # Raises with a per-operation ledger on any (n, k) cell whose
     # instrumented count deviates from the closed form.
-    lines = run_flop_report(ExperimentConfig(k_list=(1, 2, 3, 4, 5)))
+    lines = run_flop_report(k_list=(1, 2, 3, 4, 5))
     cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
     assert len(cells) == 7 * 5
     assert all(l.rstrip().endswith("True") for l in cells)

@@ -230,6 +230,18 @@ class TestCompDeCasteljauK:
         with pytest.raises(ValueError, match="finite"):
             comp_de_casteljau_k(CUBIC, s, k)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: de_casteljau([1e300, 1e300], 1e10),
+            lambda: comp_de_casteljau_k([1e300, -1e300, 1.0], 1e10, 1),
+        ],
+        ids=["de_casteljau", "comp_k1"],
+    )
+    def test_float_range_overflow_raises(self, evaluate):
+        with pytest.raises(OverflowError, match="float range"):
+            evaluate()
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_split_overflow_raises(self, k):
         # The plain triangle gives 2.009e+300 here; split(2**1000) overflows.

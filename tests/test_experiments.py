@@ -1,5 +1,6 @@
 """Experiment runners and CLI: determinism, schema, built-in assertions."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import casteljau
-from casteljau import exact_eval
+from casteljau import cli, exact_eval
 from casteljau.cli import main
 from casteljau.experiments import (
     CSV_HEADER,
@@ -18,7 +19,6 @@ from casteljau.experiments import (
     QUARTIC,
     SPOTLIGHT_S,
     CheckFailed,
-    ExperimentConfig,
     render_csv,
     run_condition_sweep,
     run_cubic_comparison,
@@ -31,32 +31,30 @@ from conftest import U, cond_multiplier
 
 TWO_U = 2 * U
 
+# SHA-256 of each experiment's output, the same with --out and on stdout,
+# as recorded with the benchmark in perfbench/checks.py (not imported here,
+# so the two records check each other); root-neighborhood has gate 7's golden.
+OUTPUT_DIGESTS = {
+    "condition-sweep": "584c2b1ad38a03ddfa7606f2dd0d7b4cc1d4c8d0cff3c3a169cd4d15759ac5d8",
+    "cubic-compare": "e8b04c6ca9b9a4c9a388309ff74246bdb93c9e86fe314a0db93df7c65d56e95a",
+    "table1": "c61bbf941deb980aa885b3c0ebf2d8abb4949d13407e92f9642175cd10b67582",
+    "flops": "ea748eb7a7fc6bb04c6758d3626cb4a68684cbcec7ad1d1a76b5c57dd172e875",
+}
+
 
 @pytest.fixture(scope="module")
 def sweep_records():
-    return run_condition_sweep(ExperimentConfig())
+    return run_condition_sweep()
 
 
 @pytest.fixture(scope="module")
 def cubic_records():
-    return run_cubic_comparison(ExperimentConfig())
-
-
-class TestConfig:
-    def test_k_range_enforced(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(k_list=(0,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(k_list=(9,))
-
-    def test_point_minimum_enforced(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(points=1)
+    return run_cubic_comparison()
 
 
 class TestCsvShape:
     def test_header_and_field_count(self):
-        records = run_root_neighborhood(ExperimentConfig(points=5))
+        records = run_root_neighborhood(points=5)
         text = render_csv(records)
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
@@ -64,33 +62,33 @@ class TestCsvShape:
         assert text.endswith("\n") and "\r" not in text
 
     def test_value_hex_round_trips(self):
-        for r in run_root_neighborhood(ExperimentConfig(points=7)):
+        for r in run_root_neighborhood(points=7):
             assert float.fromhex(r.value_hex).hex() == r.value_hex
             assert float.fromhex(r.s_hex) == float(r.s_dec)
 
     def test_rows_sorted_by_point_method_k(self):
-        records = run_cubic_comparison(ExperimentConfig(points=9))
+        records = run_cubic_comparison(points=9)
         keys = [(float.fromhex(r.s_hex), r.method, r.k) for r in records]
         assert keys == sorted(keys)
 
 
 class TestRootNeighborhood:
     def test_default_record_count(self):
-        records = run_root_neighborhood(ExperimentConfig())
+        records = run_root_neighborhood()
         assert len(records) == 401 * 3
 
     def test_points_override(self):
-        assert len(run_root_neighborhood(ExperimentConfig(points=11))) == 33
+        assert len(run_root_neighborhood(points=11)) == 33
 
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        run_root_neighborhood(ExperimentConfig(points=51, out=a))
-        run_root_neighborhood(ExperimentConfig(points=51, out=b))
+        assert main(["root-neighborhood", "--points", "51", "--out", str(a)]) == 0
+        assert main(["root-neighborhood", "--points", "51", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_root_row_reports_absolute_error(self):
-        records = run_root_neighborhood(ExperimentConfig(points=5))
+        records = run_root_neighborhood(points=5)
         root_rows = [r for r in records if float.fromhex(r.s_hex) == 0.75]
         assert len(root_rows) == 3
         for r in root_rows:
@@ -129,7 +127,7 @@ class TestConditionSweep:
                 assert Fraction(r.rel_err) <= curve, (r.k, r.cond, r.rel_err)
 
     def test_k_list_override(self):
-        records = run_condition_sweep(ExperimentConfig(k_list=(2, 5), points=4))
+        records = run_condition_sweep(k_list=(2, 5), points=4)
         assert len(records) == 8
         assert {r.k for r in records} == {2, 5}
 
@@ -167,7 +165,8 @@ class TestCubicComparison:
 class TestTableReproduction:
     def test_audit_passes_and_reports_every_entry(self, tmp_path):
         out = tmp_path / "table.txt"
-        lines = run_table_reproduction(ExperimentConfig(out=out))
+        assert main(["table1", "--out", str(out)]) == 0
+        lines = run_table_reproduction()
         assert out.read_text(encoding="utf-8").splitlines() == lines
         assert "mismatches: 0" in lines[-1]
         # one line per triangle entry below the input row: 4+3+2+1
@@ -178,13 +177,13 @@ class TestTableReproduction:
 
 class TestFlopReport:
     def test_all_cells_match(self):
-        lines = run_flop_report(ExperimentConfig())
+        lines = run_flop_report()
         cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
         assert len(cells) == 7 * 5  # n in 2..8, k in 1..5
         assert all(l.rstrip().endswith("True") for l in cells)
 
     def test_k_list_override(self):
-        lines = run_flop_report(ExperimentConfig(k_list=(2,)))
+        lines = run_flop_report(k_list=(2,))
         cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
         assert len(cells) == 7
 
@@ -206,8 +205,58 @@ class TestCli:
         assert "formula" in capsys.readouterr().out
 
     def test_invalid_k_exits_nonzero(self, capsys):
-        assert main(["condition-sweep", "--k", "9"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["condition-sweep", "--k", "9"])
+        assert exc.value.code == 2
         assert "1..8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["condition-sweep", "--k", "0"],
+            ["flops", "--k", "9"],
+            ["cubic-compare", "--points", "1"],
+            ["table1", "--points", "5"],
+            ["table1", "--k", "2"],
+            ["root-neighborhood", "--k", "2"],
+            ["cubic-compare", "--k", "2"],
+            ["flops", "--points", "5"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_bad_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_runner_error_exits_2(self, capsys):
+        # The first point of this sweep lies below 0, which the oracle refuses.
+        assert main(["root-neighborhood", "--points", "40000000"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_failure_report_is_written(self, tmp_path, capsys, monkeypatch):
+        def failing():
+            raise CheckFailed("x", ["line"])
+
+        monkeypatch.setitem(cli._RUNNERS, "table1", failing)
+        out = tmp_path / "report.txt"
+        assert main(["table1", "--out", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == "line\n"
+        assert capsys.readouterr().out == ""
+        assert main(["table1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "line\n"
+        assert "regression check failed: x" in captured.err
+
+    @pytest.mark.parametrize("experiment", sorted(OUTPUT_DIGESTS))
+    def test_output_bytes_match_recorded_digest(self, experiment, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([experiment, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[experiment]
+        assert main([experiment]) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == OUTPUT_DIGESTS[experiment]
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
@@ -230,13 +279,13 @@ class TestCli:
 
 class TestExactBookkeeping:
     def test_exact_dec_has_forty_significant_digits(self):
-        records = run_condition_sweep(ExperimentConfig(points=2, k_list=(1,)))
+        records = run_condition_sweep(k_list=(1,), points=2)
         for r in records:
             mantissa = r.exact_dec.split("E")[0].replace("-", "").replace(".", "")
             assert len(mantissa.lstrip("0")) in (39, 40)
 
     def test_exact_dec_close_to_oracle(self):
-        records = run_root_neighborhood(ExperimentConfig(points=3))
+        records = run_root_neighborhood(points=3)
         for r in records:
             exact = exact_eval(OCTIC, float.fromhex(r.s_hex))
             if exact != 0:
