@@ -7,7 +7,7 @@ with a CLI (:mod:`.experiments`, ``casteljau`` / ``python -m casteljau``).
 """
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
-from .eft import split, sum_k, two_prod, two_prod_fma, two_sum, vec_sum
+from .eft import split, sum_k, two_prod, two_prod_fma, two_sum
 from .evaluate import (
     BernsteinPoly,
     CompensationTrace,
@@ -16,12 +16,9 @@ from .evaluate import (
     de_casteljau,
     flop_count,
     horner,
-    local_error,
-    local_error_eft,
 )
 from .oracle import (
     ConditionReport,
-    bernstein_from_monomial,
     bernstein_from_root_form,
     condition_number,
     exact_eval,
@@ -40,7 +37,6 @@ __all__ = [
     "CountingFloat",
     "FlopCounter",
     "MonomialPoly",
-    "bernstein_from_monomial",
     "bernstein_from_root_form",
     "comp_de_casteljau_k",
     "condition_number",
@@ -50,8 +46,6 @@ __all__ = [
     "exact_eval_basis",
     "flop_count",
     "horner",
-    "local_error",
-    "local_error_eft",
     "nearest_float",
     "p_tilde",
     "relative_error",
@@ -60,5 +54,4 @@ __all__ = [
     "two_prod",
     "two_prod_fma",
     "two_sum",
-    "vec_sum",
 ]

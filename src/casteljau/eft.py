@@ -95,27 +95,15 @@ def two_prod_fma(a: float, b: float) -> tuple[float, float]:
     return result, error
 
 
-def vec_sum(p: Sequence[float]) -> list[float]:
-    """One error-free vector transformation pass for summation.
-
-    Returns a vector with the same length and the same exact sum; the last
-    entry becomes fl of the running cascaded sum and earlier entries hold
-    the rounding errors.  6(n-1) flops.  Input is not modified.
-    """
-    if not p:
-        raise ValueError("vec_sum requires a nonempty vector")
-    q = list(p)
-    for j in range(1, len(q)):
-        q[j], q[j - 1] = two_sum(q[j], q[j - 1])
-    return q
-
-
 def sum_k(p: Sequence[float], k: int) -> float:
     """Sum a vector as if carried out in ``k`` times the working precision.
 
-    Applies ``k - 1`` :func:`vec_sum` passes, then a plain left-to-right
-    reduction: (6k-5)(n-1) flops for an n-vector.  ``k=1`` is the ordinary
-    recursive sum.  The result s satisfies
+    This is SumK of Ogita, Rump & Oishi (2005).  Each of ``k - 1`` passes
+    is an error-free sweep of :func:`two_sum` that keeps the exact sum,
+    leaving the running float sum in the last entry and the rounding errors
+    before it; a plain left-to-right reduction follows.  (6k-5)(n-1) flops
+    for an n-vector.  ``k=1`` is the ordinary recursive sum.  The result s
+    satisfies
 
         abs(s - e) <= (u + 3*g(n-1)**2) * abs(e) + g(2n-2)**k * sum(abs(p))
 
@@ -127,7 +115,8 @@ def sum_k(p: Sequence[float], k: int) -> float:
         raise ValueError("sum_k requires a nonempty vector")
     q = list(p)
     for _ in range(k - 1):
-        q = vec_sum(q)
+        for j in range(1, len(q)):
+            q[j], q[j - 1] = two_sum(q[j], q[j - 1])
     total = q[0]
     for x in q[1:]:
         total = total + x

@@ -125,41 +125,6 @@ def de_casteljau(p: PolyLike, s: float) -> float:
     return _check_result(row[0], 1)
 
 
-def local_error_eft(
-    e: Sequence[float], rho: float, delta_b: float
-) -> tuple[list[float], float]:
-    """Accumulate a local error term, capturing every new rounding error.
-
-    Computes l_hat = fl(e_1 + ... + e_m + rho * delta_b) by a chain of
-    two_sum steps plus one two_prod, returning ``(eta, l_hat)`` where eta
-    holds the m + 1 fresh residuals in production order, so that
-    l_hat + sum(eta) == sum(e) + rho * delta_b exactly.
-    """
-    if len(e) < 2:
-        raise ValueError("local error accumulation needs at least two terms")
-    eta = []
-    l_hat, t = two_sum(e[0], e[1])
-    eta.append(t)
-    for j in range(2, len(e)):
-        l_hat, t = two_sum(l_hat, e[j])
-        eta.append(t)
-    prod, t = two_prod(rho, delta_b)
-    eta.append(t)
-    l_hat, t = two_sum(l_hat, prod)
-    eta.append(t)
-    return eta, l_hat
-
-
-def local_error(e: Sequence[float], rho: float, delta_b: float) -> float:
-    """Same accumulation order as :func:`local_error_eft`, residuals dropped."""
-    if len(e) < 2:
-        raise ValueError("local error accumulation needs at least two terms")
-    l_hat = e[0] + e[1]
-    for j in range(2, len(e)):
-        l_hat = l_hat + e[j]
-    return l_hat + (rho * delta_b)
-
-
 def comp_de_casteljau_k(
     p: PolyLike, s: float, k: int, capture: bool = False
 ) -> Union[float, tuple[float, CompensationTrace]]:
@@ -209,7 +174,18 @@ def comp_de_casteljau_k(
             e = [pr_err, ps_err, sigma]
             delta_b = base[j]
             for f in range(k - 2):
-                eta, l_hat = local_error_eft(e, rho, delta_b)
+                # Local error of stage f + 1: sum(e) + rho * delta_b, left to
+                # right, keeping every fresh residual in production order.
+                # eta is the next stage's e, so its order is part of the bits.
+                eta = []
+                l_hat = e[0]
+                for x in e[1:]:
+                    l_hat, t = two_sum(l_hat, x)
+                    eta.append(t)
+                prod, t = two_prod(rho, delta_b)
+                eta.append(t)
+                l_hat, t = two_sum(l_hat, prod)
+                eta.append(t)
                 ps2, t1 = two_prod(s, errs[f][j + 1])
                 part, t2 = two_sum(l_hat, ps2)
                 pr2, t3 = two_prod(r_hat, errs[f][j])
@@ -218,10 +194,14 @@ def comp_de_casteljau_k(
                 new_errs[f].append(updated)
                 e = eta
                 delta_b = errs[f][j]
-            l_hat = local_error(e, rho, delta_b)
+            # The last stage runs the same chain with its residuals dropped.
+            l_hat = e[0]
+            for x in e[1:]:
+                l_hat = l_hat + x
             last = k - 2
             new_errs[last].append(
-                l_hat + (s * errs[last][j + 1]) + (r_hat * errs[last][j])
+                l_hat + (rho * delta_b) + (s * errs[last][j + 1])
+                + (r_hat * errs[last][j])
             )
         base = new_base
         errs = new_errs
@@ -244,13 +224,18 @@ def comp_de_casteljau_k(
 
 
 def horner(p: Union[MonomialPoly, Sequence[float]], s: float) -> float:
-    """Evaluate a monomial-basis polynomial by Horner's rule."""
+    """Evaluate a monomial-basis polynomial by Horner's rule.
+
+    Raises like :func:`de_casteljau`: ValueError for a non-finite s, and
+    OverflowError when an intermediate leaves the float range.
+    """
     poly = p if isinstance(p, MonomialPoly) else MonomialPoly(p)
     coeffs = poly.coeffs
+    _check_point(s)
     result = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         result = (result * s) + coeffs[i]
-    return result
+    return _check_result(result, 1)
 
 
 def flop_count(n: int, k: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .evaluate import BernsteinPoly, MonomialPoly
+from .evaluate import BernsteinPoly
 
 RationalLike = Union[int, float, Fraction]
 PolyLike = Union[BernsteinPoly, Sequence[RationalLike]]
@@ -28,7 +28,7 @@ def nearest_float(x: Fraction) -> float:
 
 
 def _coefficients(p: PolyLike) -> list[Fraction]:
-    coeffs = p.coeffs if isinstance(p, (BernsteinPoly, MonomialPoly)) else p
+    coeffs = p.coeffs if isinstance(p, BernsteinPoly) else p
     if len(coeffs) == 0:
         raise ValueError("polynomial needs at least one coefficient")
     return [Fraction(c) for c in coeffs]
@@ -129,7 +129,7 @@ def _to_bernstein(monomial: Sequence[Fraction]) -> BernsteinPoly:
             for i in range(j + 1)
         )
         value = nearest_float(b_j)
-        if Fraction(value) != b_j:
+        if not math.isfinite(value) or Fraction(value) != b_j:
             raise ValueError(
                 f"Bernstein coefficient {j} = {b_j} is not exactly "
                 "representable in binary64"
@@ -138,23 +138,15 @@ def _to_bernstein(monomial: Sequence[Fraction]) -> BernsteinPoly:
     return BernsteinPoly(floats)
 
 
-def bernstein_from_monomial(a: Union[MonomialPoly, Sequence[RationalLike]]) -> BernsteinPoly:
-    """Convert exact monomial coefficients a_0..a_n to Bernstein form.
-
-    Uses b_j = sum_{i<=j} [C(j,i)/C(n,i)] a_i in exact arithmetic and fails
-    loudly, naming the index, if any resulting coefficient is not exactly
-    representable in the working precision.
-    """
-    return _to_bernstein(_coefficients(a))
-
-
 def bernstein_from_root_form(
     linear_factors: Sequence[tuple[RationalLike, int]], scale: RationalLike = 1
 ) -> BernsteinPoly:
     """Bernstein coefficients of scale * product of (s - root)^multiplicity.
 
-    Expands the factors exactly in the monomial basis, then converts.  An
-    empty factor list yields the constant polynomial ``scale``.
+    Expands the factors exactly in the monomial basis, then converts with
+    b_j = sum_{i<=j} [C(j,i)/C(n,i)] a_i.  An empty factor list yields the
+    constant polynomial ``scale``.  Raises ValueError, naming the index, if
+    a Bernstein coefficient is not exactly representable in binary64.
     """
     monomial = [Fraction(scale)]
     for root, multiplicity in linear_factors:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casteljau import split, sum_k, two_prod, two_prod_fma, two_sum, vec_sum
+from casteljau import split, sum_k, two_prod, two_prod_fma, two_sum
 
 from conftest import U, gamma, signed_floats
 
@@ -105,33 +105,34 @@ class TestTwoProdFma:
 
 
 class TestVecSum:
-    def test_single_element_passthrough(self):
-        assert vec_sum([3.5]) == [3.5]
+    """VecSum, the error-free two_sum pass sum_k applies k - 1 times."""
+
+    @given(eft_floats, st.integers(1, 6))
+    def test_single_element_passthrough(self, x, k):
+        assert sum_k([x], k) == x
 
     def test_all_zeros(self):
-        assert vec_sum([0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
+        for k in (1, 2, 3):
+            assert sum_k([0.0, 0.0, 0.0], k) == 0.0
 
     def test_cancellation_preserves_exact_sum(self):
-        out = vec_sum([1.0, 2.0**53, -(2.0**53)])
-        assert sum(Fraction(x) for x in out) == 1
+        # the plain sum loses the 1 to rounding; one pass keeps it
+        assert sum_k([1.0, 2.0**53, -(2.0**53)], 1) == 0.0
+        for k in (2, 3):
+            assert sum_k([1.0, 2.0**53, -(2.0**53)], k) == 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vec_sum([])
-
-    @given(st.lists(eft_floats, min_size=1, max_size=12))
-    def test_exact_sum_preserved(self, p):
-        out = vec_sum(p)
-        assert len(out) == len(p)
-        assert sum(Fraction(x) for x in out) == sum(Fraction(x) for x in p)
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError):
+                sum_k([], k)
 
     @given(st.lists(eft_floats, min_size=1, max_size=12))
     def test_last_entry_is_cascaded_float_sum(self, p):
-        out = vec_sum(p)
+        # with no pass, sum_k is the plain left-to-right float sum
         acc = p[0]
         for x in p[1:]:
             acc = acc + x
-        assert out[-1] == acc
+        assert sum_k(p, 1) == acc
 
 
 class TestSumK:

@@ -1,4 +1,4 @@
-"""Evaluator behavior: endpoints, local-error kernels, the cascade, bounds."""
+"""Evaluator behavior: endpoints, local errors, the cascade, bounds."""
 
 import math
 import random
@@ -16,8 +16,6 @@ from casteljau import (
     exact_eval,
     flop_count,
     horner,
-    local_error,
-    local_error_eft,
     two_prod,
     two_sum,
 )
@@ -97,47 +95,42 @@ class TestCompDeCasteljau:
 
 
 class TestLocalError:
+    """The local error accumulation inside the cascade, seen through traces."""
+
     def test_all_zero_terms(self):
-        eta, l_hat = local_error_eft([0.0, 0.0, 0.0], 0.0, 5.0)
-        assert eta == [0.0, 0.0, 0.0, 0.0]
-        assert l_hat == 0.0
-        assert local_error([0.0, 0.0, 0.0], 0.0, 1.0) == 0.0
-
-    def test_exact_cancellation(self):
-        a = 1.25e10
-        eta, l_hat = local_error_eft([a, -a, 0.0], 0.0, 0.0)
-        assert l_hat == 0.0
-        assert all(x == 0.0 for x in eta)
-
-    def test_small_integers(self):
-        assert local_error([1.0, 2.0, 3.0], 0.0, 0.0) == 6.0
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            local_error_eft([1.0], 0.5, 1.0)
-        with pytest.raises(ValueError):
-            local_error([1.0], 0.5, 1.0)
+        # Small integers at s = 1/2: every product and sum is exact, so every
+        # local error term vanishes and so does every error triangle.
+        p = [1.0, -2.0, 3.0, 4.0, -5.0]
+        for k in (2, 3, 5):
+            value, trace = comp_de_casteljau_k(p, 0.5, k, capture=True)
+            assert value == de_casteljau(p, 0.5) == float(exact_eval(p, 0.5))
+            for tri in trace.error_triangles:
+                assert all(x == 0.0 for level in tri for x in level)
 
     @given(
-        st.lists(small_floats, min_size=2, max_size=9),
-        small_floats,
-        small_floats,
+        st.lists(small_floats, min_size=2, max_size=8),
+        st.floats(2.0**-30, 1.0),
+        st.integers(3, 5),
     )
-    def test_eft_identity(self, e, rho, delta_b):
-        eta, l_hat = local_error_eft(e, rho, delta_b)
-        assert len(eta) == len(e) + 1
-        lhs = Fraction(l_hat) + sum(Fraction(x) for x in eta)
-        rhs = sum(Fraction(x) for x in e) + Fraction(rho) * Fraction(delta_b)
-        assert lhs == rhs
+    def test_eft_identity(self, coeffs, s, k):
+        # replay_cascade asserts the exact identity of every local error
+        # accumulation; the library must produce the same leading terms.
+        terms = replay_cascade(coeffs, s, k)
+        _, trace = comp_de_casteljau_k(coeffs, s, k, capture=True)
+        assert terms == [trace.base_triangle[0][0]] + [
+            tri[0][0] for tri in trace.error_triangles
+        ]
 
-    @given(
-        st.lists(small_floats, min_size=2, max_size=9),
-        small_floats,
-        small_floats,
-    )
-    def test_plain_matches_eft_primary_output(self, e, rho, delta_b):
-        _, l_hat = local_error_eft(e, rho, delta_b)
-        assert local_error(e, rho, delta_b) == l_hat
+    @given(coeff_lists, st.floats(0.0, 1.0), st.integers(2, 5))
+    def test_plain_matches_eft_primary_output(self, coeffs, s, k):
+        # The last stage sums its local error without capturing residuals.
+        # Its values are the ones the capturing chain of a (k + 1)-fold run
+        # produces for the same stage, so a K-fold trace is a prefix of the
+        # (K + 1)-fold one.
+        _, short = comp_de_casteljau_k(coeffs, s, k, capture=True)
+        _, long = comp_de_casteljau_k(coeffs, s, k + 1, capture=True)
+        assert short.base_triangle == long.base_triangle
+        assert short.error_triangles == long.error_triangles[: k - 1]
 
 
 def replay_cascade(coeffs, s, k):
@@ -172,8 +165,21 @@ def replay_cascade(coeffs, s, k):
             for f in range(k - 2):
                 stage = f + 1
                 assert len(e) == 5 * stage - 2
-                eta, l_hat = local_error_eft(e, rho, delta_b)
+                eta = []
+                l_hat = e[0]
+                for x in e[1:]:
+                    l_hat, t = two_sum(l_hat, x)
+                    eta.append(t)
+                prod, t = two_prod(rho, delta_b)
+                eta.append(t)
+                l_hat, t = two_sum(l_hat, prod)
+                eta.append(t)
                 assert len(eta) == 5 * stage - 1
+                # local error identity: l_hat plus its residuals is exactly
+                # the carried error sum(e) + rho * delta_b
+                assert Fraction(l_hat) + sum(Fraction(x) for x in eta) == sum(
+                    Fraction(x) for x in e
+                ) + Fraction(rho) * Fraction(delta_b)
                 ps2, t1 = two_prod(s, errs[f][j + 1])
                 part, t2 = two_sum(l_hat, ps2)
                 pr2, t3 = two_prod(r_hat, errs[f][j])
@@ -194,7 +200,10 @@ def replay_cascade(coeffs, s, k):
                 new_errs[f].append(updated)
                 e = eta
                 delta_b = errs[f][j]
-            l_hat = local_error(e, rho, delta_b)
+            l_hat = e[0]
+            for x in e[1:]:
+                l_hat = l_hat + x
+            l_hat = l_hat + (rho * delta_b)
             last = k - 2
             new_errs[last].append(
                 l_hat + (s * errs[last][j + 1]) + (r_hat * errs[last][j])
@@ -224,19 +233,29 @@ class TestCompDeCasteljauK:
         with pytest.raises(ValueError):
             comp_de_casteljau_k([], 0.5, 2)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda s: comp_de_casteljau_k(CUBIC, s, 1),
+            lambda s: comp_de_casteljau_k(CUBIC, s, 2),
+            lambda s: comp_de_casteljau_k(CUBIC, s, 3),
+            lambda s: horner([1.0, 2.0], s),
+        ],
+        ids=["1", "2", "3", "horner"],
+    )
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_point_rejected(self, s, k):
+    def test_nonfinite_point_rejected(self, s, evaluate):
         with pytest.raises(ValueError, match="finite"):
-            comp_de_casteljau_k(CUBIC, s, k)
+            evaluate(s)
 
     @pytest.mark.parametrize(
         "evaluate",
         [
             lambda: de_casteljau([1e300, 1e300], 1e10),
             lambda: comp_de_casteljau_k([1e300, -1e300, 1.0], 1e10, 1),
+            lambda: horner([1.0, 1e300], 1e10),
         ],
-        ids=["de_casteljau", "comp_k1"],
+        ids=["de_casteljau", "comp_k1", "horner"],
     )
     def test_float_range_overflow_raises(self, evaluate):
         with pytest.raises(OverflowError, match="float range"):

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from casteljau import (
     BernsteinPoly,
-    MonomialPoly,
-    bernstein_from_monomial,
     bernstein_from_root_form,
     condition_number,
     exact_eval,
@@ -131,30 +129,33 @@ class TestNearestFloat:
 
 
 class TestBernsteinFromMonomial:
+    """The exact monomial-to-Bernstein conversion behind bernstein_from_root_form."""
+
     def test_linear_precision(self):
-        assert bernstein_from_monomial([0, 1]).coeffs == (0.0, 1.0)
+        assert bernstein_from_root_form([(0, 1)]).coeffs == (0.0, 1.0)
 
     def test_cubic(self):
-        p = bernstein_from_monomial([-1, 6, -12, 8])
+        # 8 (s - 1/2)^3 = 8s^3 - 12s^2 + 6s - 1
+        p = bernstein_from_root_form([(Fraction(1, 2), 3)], scale=8)
         assert p.coeffs == (-1.0, 1.0, -1.0, 1.0)
         for s in (Fraction(1, 7), Fraction(2, 5), Fraction(1, 2), Fraction(8, 9), 1):
             expected = -1 + 6 * s - 12 * s**2 + 8 * s**3
             assert exact_eval(p, s) == expected
 
     def test_quartic_expansion(self):
-        # (2s-1)^3 (s-1) = 8s^4 - 20s^3 + 18s^2 - 7s + 1
-        p = bernstein_from_monomial([1, -7, 18, -20, 8])
+        # 8 (s - 1/2)^3 (s - 1) = (2s-1)^3 (s-1) = 8s^4 - 20s^3 + 18s^2 - 7s + 1
+        p = bernstein_from_root_form([(Fraction(1, 2), 3), (1, 1)], scale=8)
         assert p.coeffs == (1.0, -0.75, 0.5, -0.25, 0.0)
-
-    def test_accepts_monomial_poly(self):
-        assert bernstein_from_monomial(MonomialPoly([0.0, 1.0])).coeffs == (0.0, 1.0)
 
     def test_unrepresentable_coefficient_names_index(self):
         with pytest.raises(ValueError, match="coefficient 0"):
-            bernstein_from_monomial([Fraction(1, 3)])
-        # b_0 = a_0 = 1 is fine; b_1 = a_0 + a_1/2 = 1 + 1/6 is not
+            bernstein_from_root_form([(Fraction(1, 3), 1)])
+        # b_0 = -2**-60 is fine; b_1 = 1 - 2**-60 needs 61 bits
         with pytest.raises(ValueError, match="coefficient 1"):
-            bernstein_from_monomial([1, Fraction(1, 3)])
+            bernstein_from_root_form([(2.0**-60, 1)])
+        # beyond the float range: the same error, not a bare OverflowError
+        with pytest.raises(ValueError, match="coefficient 0"):
+            bernstein_from_root_form([], scale=2**2000)
 
 
 class TestBernsteinFromRootForm:
@@ -173,8 +174,7 @@ class TestBernsteinFromRootForm:
 
     def test_agrees_with_monomial_route(self):
         # (s - 1/4)^2 (s - 1) = s^3 - 3/2 s^2 + 9/16 s - 1/16
-        via_roots = bernstein_from_root_form([(Fraction(1, 4), 2), (1, 1)])
-        via_monomial = bernstein_from_monomial(
-            [Fraction(-1, 16), Fraction(9, 16), Fraction(-3, 2), 1]
-        )
-        assert via_roots.coeffs == via_monomial.coeffs
+        p = bernstein_from_root_form([(Fraction(1, 4), 2), (1, 1)])
+        for s in (0, Fraction(1, 4), Fraction(1, 3), Fraction(5, 7), Fraction(9, 8), 1):
+            expected = s**3 - Fraction(3, 2) * s**2 + Fraction(9, 16) * s - Fraction(1, 16)
+            assert exact_eval(p, s) == expected

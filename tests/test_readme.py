@@ -1,8 +1,12 @@
-"""The README's example session runs as a doctest, so it cannot drift from the API."""
+"""The README cannot drift from the API: its example session runs as a doctest,
+and its Library section names exactly ``casteljau.__all__``."""
 
+import builtins
 import doctest
 import re
 from pathlib import Path
+
+import casteljau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +24,16 @@ def test_readme_python_blocks_run():
     failed, attempted = runner.summarize(verbose=False)
     assert attempted > 0
     assert failed == 0, "".join(report)
+
+
+def test_library_section_matches_public_api():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Library\n(.*?)^## ", text, flags=re.M | re.S)
+    assert section, "README.md has no '## Library' section"
+    documented = {
+        name
+        for name in re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", section.group(1))
+        if len(name) > 1 and not hasattr(builtins, name)
+    }
+    assert documented == set(casteljau.__all__)
+    assert all(hasattr(casteljau, name) for name in casteljau.__all__)
