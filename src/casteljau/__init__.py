@@ -1,9 +1,10 @@
 """Compensated de Casteljau evaluation of Bernstein-form polynomials.
 
 The package provides error-free transformation kernels (:mod:`.eft`), the
-plain and K-fold compensated triangle evaluators (:mod:`.evaluate`), an exact rational oracle (:mod:`.oracle`), flop-count
-instrumentation (:mod:`.counting`), and deterministic accuracy experiments
-with a CLI (:mod:`.experiments`, ``casteljau`` / ``python -m casteljau``).
+K-fold compensated triangle evaluator, plain at K = 1 (:mod:`.evaluate`), an
+exact rational oracle (:mod:`.oracle`), flop-count instrumentation
+(:mod:`.counting`), and deterministic accuracy experiments with a CLI
+(:mod:`.experiments`, ``casteljau`` / ``python -m casteljau``).
 """
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
@@ -11,9 +12,7 @@ from .eft import split, sum_k, two_prod, two_prod_fma, two_sum
 from .evaluate import (
     BernsteinPoly,
     CompensationTrace,
-    MonomialPoly,
     comp_de_casteljau_k,
-    de_casteljau,
     flop_count,
     horner,
 )
@@ -36,12 +35,10 @@ __all__ = [
     "ConditionReport",
     "CountingFloat",
     "FlopCounter",
-    "MonomialPoly",
     "bernstein_from_root_form",
     "comp_de_casteljau_k",
     "condition_number",
     "count_evaluation_flops",
-    "de_casteljau",
     "exact_eval",
     "exact_eval_basis",
     "flop_count",

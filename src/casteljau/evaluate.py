@@ -1,16 +1,16 @@
 """Polynomial evaluation in Bernstein form by the de Casteljau recurrence.
 
-Two triangle evaluators live here.  ``de_casteljau`` is the plain
-convex-combination triangle.  ``comp_de_casteljau_k`` runs the same triangle
-but uses error-free transformations to capture the rounding error of every
-update and propagates those errors through K - 1 further triangles: the
-rounding errors of error triangle F become the input data of triangle F+1,
-and the K leading values are combined with a K-fold compensated sum.  The
-result behaves as if computed in K times the working precision; K = 2 is
-the classic once-compensated algorithm.
+One triangle evaluator lives here, ``comp_de_casteljau_k``.  At K = 1 it
+is the plain convex-combination triangle.  For K >= 2 it runs the same
+triangle but uses error-free transformations to capture the rounding error
+of every update and propagates those errors through K - 1 further
+triangles: the rounding errors of error triangle F become the input data of
+triangle F+1, and the K leading values are combined with a K-fold
+compensated sum.  The result behaves as if computed in K times the working
+precision; K = 2 is the classic once-compensated algorithm.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
-comparisons, along with the closed-form flop counts of each variant.
+comparisons, along with the closed-form flop counts of each K.
 
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
@@ -42,20 +42,6 @@ class BernsteinPoly:
 
     def __init__(self, coeffs: Sequence[float]):
         object.__setattr__(self, "coeffs", _finite_coeffs(coeffs, "BernsteinPoly"))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Coefficients a_0..a_n of p(s) = sum_i a_i s^i."""
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs: Sequence[float]):
-        object.__setattr__(self, "coeffs", _finite_coeffs(coeffs, "MonomialPoly"))
 
     @property
     def degree(self) -> int:
@@ -97,32 +83,12 @@ def _check_point(s: float) -> None:
         raise ValueError(f"evaluation point s must be finite, got {s!r}")
 
 
-def _check_result(result: float, k: int) -> float:
+def _check_result(result: float, label: str, limit: str = "") -> float:
     # Coefficients and s are finite, and inf or nan never cancels out of the
     # triangles, so a non-finite result means some intermediate overflowed.
     if not math.isfinite(result):
-        limit = "; split needs every product operand below 2**996" if k >= 2 else ""
-        raise OverflowError(f"K={k} evaluation overflowed the float range{limit}")
+        raise OverflowError(f"{label} evaluation overflowed the float range{limit}")
     return result
-
-
-def de_casteljau(p: PolyLike, s: float) -> float:
-    """Evaluate a Bernstein-form polynomial by repeated convex combination.
-
-    Runs the plain triangle with r = fl(1 - s): 3*T_n + 1 flops for degree n
-    (T_n the n-th triangular number).  For s in [0, 1] the absolute error is
-    at most g(3n) * ptilde(s) where g(m) = m*u/(1 - m*u) and ptilde sums the
-    absolute coefficients against the basis.  Raises ValueError for a
-    non-finite s, and OverflowError when an intermediate leaves the float
-    range.
-    """
-    coeffs = _bernstein(p).coeffs
-    _check_point(s)
-    r = 1.0 - s
-    row = list(coeffs)
-    for level in range(len(row) - 2, -1, -1):
-        row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
-    return _check_result(row[0], 1)
 
 
 def comp_de_casteljau_k(
@@ -130,30 +96,38 @@ def comp_de_casteljau_k(
 ) -> Union[float, tuple[float, CompensationTrace]]:
     """de Casteljau compensated to K-fold working precision.
 
-    ``k=1`` is the plain triangle and ``k=2`` the classic compensated form
-    (with the two leading terms combined by sum_k, which coincides bitwise
-    with their plain sum).  For larger k, stages 1..k-2 capture their own
-    rounding errors with EFTs and hand them down the cascade; the last stage
-    accumulates without capture.  The relative error stays near u until
-    cond(p, s) reaches about u**-(k-1).
+    ``k=1`` is the plain triangle, repeated convex combination with
+    r = fl(1 - s): 3*T_n + 1 flops for degree n (T_n the n-th triangular
+    number), and for s in [0, 1] an absolute error of at most
+    g(3n) * ptilde(s), where g(m) = m*u/(1 - m*u) and ptilde sums the
+    absolute coefficients against the basis.  ``k=2`` is the classic
+    compensated form (with the two leading terms combined by sum_k, which
+    coincides bitwise with their plain sum).  For larger k, stages 1..k-2
+    capture their own rounding errors with EFTs and hand them down the
+    cascade; the last stage accumulates without capture.  The relative
+    error stays near u until cond(p, s) reaches about u**-(k-1).
 
     With ``capture=True`` (k >= 2 only) also returns the full triangle state
     as a :class:`CompensationTrace`.
 
-    Raises ValueError for a non-finite s.  An intermediate beyond the float
-    range (for k >= 2 also beyond |x| < 2**996, which ``split`` needs) makes
-    the result non-finite, and that is raised as OverflowError rather than
-    returned.
+    Raises ValueError for a non-finite s or a k that is not a positive int.
+    An intermediate beyond the float range (for k >= 2 also beyond
+    |x| < 2**996, which ``split`` needs) makes the result non-finite, and
+    that is raised as OverflowError rather than returned.
     """
     poly = _bernstein(p)
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    _check_point(s)
     if k == 1:
         if capture:
             raise ValueError("capture requires k >= 2; k=1 has no error triangles")
-        return de_casteljau(poly, s)
+        r = 1.0 - s
+        row = list(poly.coeffs)
+        for level in range(len(row) - 2, -1, -1):
+            row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
+        return _check_result(row[0], "K=1")
 
-    _check_point(s)
     n = poly.degree
     r_hat, rho = two_sum(1.0, -s)
     zero = _zero_like(s)
@@ -210,7 +184,11 @@ def comp_de_casteljau_k(
             for f in range(k - 1):
                 err_levels[f].append(tuple(errs[f]))
 
-    result = _check_result(sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k), k)
+    result = _check_result(
+        sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k),
+        f"K={k}",
+        "; split needs every product operand below 2**996",
+    )
     if not capture:
         return result
     # Levels were appended n down to 0; store them indexed by level.
@@ -223,19 +201,19 @@ def comp_de_casteljau_k(
     return result, trace
 
 
-def horner(p: Union[MonomialPoly, Sequence[float]], s: float) -> float:
-    """Evaluate a monomial-basis polynomial by Horner's rule.
+def horner(coeffs: Sequence[float], s: float) -> float:
+    """Evaluate sum_i coeffs[i] * s**i by Horner's rule.
 
-    Raises like :func:`de_casteljau`: ValueError for a non-finite s, and
-    OverflowError when an intermediate leaves the float range.
+    Raises like :func:`comp_de_casteljau_k`: ValueError for no coefficients,
+    a non-finite coefficient or s, and OverflowError when an intermediate
+    leaves the float range.
     """
-    poly = p if isinstance(p, MonomialPoly) else MonomialPoly(p)
-    coeffs = poly.coeffs
+    coeffs = _finite_coeffs(coeffs, "horner")
     _check_point(s)
     result = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         result = (result * s) + coeffs[i]
-    return _check_result(result, 1)
+    return _check_result(result, "horner")
 
 
 def flop_count(n: int, k: int) -> int:
@@ -245,7 +223,9 @@ def flop_count(n: int, k: int) -> int:
     (15k**2 + 11k - 34)*T_n + 6k**2 - 11k + 11, counting the split-based
     product transform at 17 flops and the final k-term compensated sum.
     """
-    if k < 1:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"degree n must be a nonnegative integer, got {n}")
+    if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     t_n = n * (n + 1) // 2
     if k == 1:

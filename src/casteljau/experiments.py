@@ -24,12 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import count_evaluation_flops
-from .evaluate import (
-    MonomialPoly,
-    comp_de_casteljau_k,
-    flop_count,
-    horner,
-)
+from .evaluate import comp_de_casteljau_k, flop_count, horner
 from .oracle import (
     ConditionReport,
     bernstein_from_root_form,
@@ -43,7 +38,7 @@ U = 2.0**-53
 OCTIC = bernstein_from_root_form([(1, 1), (Fraction(3, 4), 7)])
 QUARTIC = bernstein_from_root_form([(Fraction(1, 2), 3), (1, 1)], scale=8)
 CUBIC_BERNSTEIN = bernstein_from_root_form([(Fraction(1, 2), 3)], scale=8)
-CUBIC_MONOMIAL = MonomialPoly([-1.0, 6.0, -12.0, 8.0])
+CUBIC_MONOMIAL = (-1.0, 6.0, -12.0, 8.0)
 
 # The point where the once-compensated evaluator loses every digit of the
 # quartic: its two leading terms cancel exactly while the true value is
@@ -68,29 +63,29 @@ class CheckFailed(RuntimeError):
 class SweepRecord:
     """One CSV row: an evaluation point, a method, and its accuracy.
 
-    ``rel_err`` is the once-rounded exact relative error, except at a root
+    ``exact`` is the oracle's value of the polynomial at ``s``.  ``rel_err``
+    is the once-rounded exact relative error of ``value``, except at a root
     of the polynomial (``cond`` infinite), where it carries the absolute
     error instead.
     """
 
-    s_hex: str
-    s_dec: str
+    s: float
     method: str
     k: int
-    value_hex: str
-    exact_dec: str
+    value: float
+    exact: Fraction
     rel_err: float
     cond: float
 
     def csv_row(self) -> str:
         return ",".join(
             (
-                self.s_hex,
-                self.s_dec,
+                self.s.hex(),
+                repr(self.s),
                 self.method,
                 str(self.k),
-                self.value_hex,
-                self.exact_dec,
+                self.value.hex(),
+                _decimal_string(self.exact),
                 repr(self.rel_err),
                 repr(self.cond),
             )
@@ -109,28 +104,18 @@ def _decimal_string(x: Fraction, digits: int = 40) -> str:
 def _record(s: float, method: str, k: int, value: float, report: ConditionReport) -> SweepRecord:
     exact = report.exact_value
     rel_err = abs(value) if exact == 0 else relative_error(value, exact)
-    return SweepRecord(
-        s_hex=s.hex(),
-        s_dec=repr(s),
-        method=method,
-        k=k,
-        value_hex=value.hex(),
-        exact_dec=_decimal_string(exact),
-        rel_err=rel_err,
-        cond=report.rounded_cond,
-    )
+    return SweepRecord(s, method, k, value, exact, rel_err, report.rounded_cond)
+
+
+_METHODS = {1: "decasteljau", 2: "comp"}
 
 
 def _method_for(k: int) -> str:
-    if k == 1:
-        return "decasteljau"
-    if k == 2:
-        return "comp"
-    return "compK"
+    return _METHODS.get(k, "compK")
 
 
 def _sorted(records: list[SweepRecord]) -> list[SweepRecord]:
-    records.sort(key=lambda r: (float.fromhex(r.s_hex), r.method, r.k))
+    records.sort(key=lambda r: (r.s, r.method, r.k))
     return records
 
 

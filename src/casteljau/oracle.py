@@ -42,7 +42,6 @@ class ConditionReport:
     when the point is a root; ``rounded_cond`` is its float rendering.
     """
 
-    s: float
     exact_value: Fraction
     p_tilde: Fraction
     cond: Union[Fraction, float]
@@ -101,11 +100,7 @@ def condition_number(p: PolyLike, s: RationalLike) -> ConditionReport:
         cond = tilde / abs(value)
         rounded = nearest_float(cond)
     return ConditionReport(
-        s=float(sf),
-        exact_value=value,
-        p_tilde=tilde,
-        cond=cond,
-        rounded_cond=rounded,
+        exact_value=value, p_tilde=tilde, cond=cond, rounded_cond=rounded
     )
 
 
@@ -145,11 +140,17 @@ def bernstein_from_root_form(
 
     Expands the factors exactly in the monomial basis, then converts with
     b_j = sum_{i<=j} [C(j,i)/C(n,i)] a_i.  An empty factor list yields the
-    constant polynomial ``scale``.  Raises ValueError, naming the index, if
-    a Bernstein coefficient is not exactly representable in binary64.
+    constant polynomial ``scale``.  Raises ValueError, naming the index, for
+    a factor whose multiplicity is not a positive int, and for a Bernstein
+    coefficient that is not exactly representable in binary64.
     """
     monomial = [Fraction(scale)]
-    for root, multiplicity in linear_factors:
+    for index, (root, multiplicity) in enumerate(linear_factors):
+        if not isinstance(multiplicity, int) or multiplicity < 1:
+            raise ValueError(
+                f"factor {index} has multiplicity {multiplicity!r}; "
+                "it must be a positive integer"
+            )
         rf = Fraction(root)
         for _ in range(multiplicity):
             shifted = [-rf * c for c in monomial] + [Fraction(0)]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from casteljau import (
     comp_de_casteljau_k,
-    de_casteljau,
     exact_eval,
     p_tilde,
     two_prod,
@@ -89,7 +88,7 @@ def once_compensated(coeffs, s):
 
 
 def check_accuracy_bounds(coeffs, s) -> list[str]:
-    """Exact per-instance error-bound checks for the three evaluators.
+    """Exact per-instance error-bound checks at K = 1, 2 and 3.
 
     Returns a list of violation descriptions (empty = all bounds hold).
     Checks, all in rational arithmetic:
@@ -109,7 +108,7 @@ def check_accuracy_bounds(coeffs, s) -> list[str]:
     tilde = p_tilde(coeffs, s)
     out = []
 
-    plain = de_casteljau(coeffs, s)
+    plain = comp_de_casteljau_k(coeffs, s, 1)
     if abs(Fraction(plain) - exact) > gamma(3 * n) * tilde:
         out.append(f"plain bound violated at n={n}, s={s!r}")
 

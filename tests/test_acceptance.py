@@ -15,7 +15,6 @@ import pytest
 
 from casteljau import (
     comp_de_casteljau_k,
-    de_casteljau,
     exact_eval,
     nearest_float,
     two_prod,
@@ -86,14 +85,14 @@ def test_criterion_3_endpoint_exactness():
         n = rng.randint(0, 12)
         coeffs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-30, 30) for _ in range(n + 1)]
         evaluations = [
-            de_casteljau(coeffs, 0.0),
+            comp_de_casteljau_k(coeffs, 0.0, 1),
             comp_de_casteljau_k(coeffs, 0.0, 2),
             comp_de_casteljau_k(coeffs, 0.0, 3),
             comp_de_casteljau_k(coeffs, 0.0, 5),
         ]
         assert all(v == coeffs[0] for v in evaluations), (coeffs, evaluations)
         evaluations = [
-            de_casteljau(coeffs, 1.0),
+            comp_de_casteljau_k(coeffs, 1.0, 1),
             comp_de_casteljau_k(coeffs, 1.0, 2),
             comp_de_casteljau_k(coeffs, 1.0, 3),
             comp_de_casteljau_k(coeffs, 1.0, 5),
@@ -174,8 +173,7 @@ def _sweep_error_extrema(records):
     """Max absolute error per method over a root-neighborhood run."""
     worst = {}
     for r in records:
-        s = float.fromhex(r.s_hex)
-        err = abs(Fraction(float.fromhex(r.value_hex)) - exact_eval(OCTIC, s))
+        err = abs(Fraction(r.value) - exact_eval(OCTIC, r.s))
         key = (r.method, r.k)
         if key not in worst or err > worst[key]:
             worst[key] = err

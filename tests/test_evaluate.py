@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from casteljau import (
     BernsteinPoly,
-    MonomialPoly,
     comp_de_casteljau_k,
-    de_casteljau,
     exact_eval,
     flop_count,
     horner,
@@ -42,40 +40,36 @@ class TestPolyTypes:
         with pytest.raises(ValueError):
             BernsteinPoly([])
         with pytest.raises(ValueError):
-            MonomialPoly([])
+            horner([], 1.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             BernsteinPoly([1.0, math.inf])
         with pytest.raises(ValueError):
-            MonomialPoly([math.nan])
+            horner([math.nan], 1.0)
 
 
 class TestDeCasteljau:
     def test_s_zero_returns_first_coefficient(self):
-        assert de_casteljau(CUBIC, 0.0) == -1.0
+        assert comp_de_casteljau_k(CUBIC, 0.0, 1) == -1.0
 
     def test_symmetric_cancellation_at_half(self):
-        assert de_casteljau(CUBIC, 0.5) == 0.0
+        assert comp_de_casteljau_k(CUBIC, 0.5, 1) == 0.0
 
     def test_s_one_returns_last_coefficient(self):
-        assert de_casteljau(QUARTIC, 1.0) == 0.0
+        assert comp_de_casteljau_k(QUARTIC, 1.0, 1) == 0.0
 
     def test_degree_zero(self):
-        assert de_casteljau(BernsteinPoly([2.5]), 0.3) == 2.5
+        assert comp_de_casteljau_k(BernsteinPoly([2.5]), 0.3, 1) == 2.5
         for k in (2, 4):
             assert comp_de_casteljau_k(BernsteinPoly([2.5]), 0.3, k) == 2.5
 
     @given(st.lists(signed_floats(2.0**-50, 2.0**50), min_size=1, max_size=13))
     def test_endpoint_exactness_all_evaluators(self, coeffs):
         p = BernsteinPoly(coeffs)
-        for evaluate in (
-            de_casteljau,
-            lambda q, s: comp_de_casteljau_k(q, s, 2),
-            lambda q, s: comp_de_casteljau_k(q, s, 3),
-        ):
-            assert evaluate(p, 0.0) == coeffs[0]
-            assert evaluate(p, 1.0) == coeffs[-1]
+        for k in (1, 2, 3):
+            assert comp_de_casteljau_k(p, 0.0, k) == coeffs[0]
+            assert comp_de_casteljau_k(p, 1.0, k) == coeffs[-1]
 
 
 class TestCompDeCasteljau:
@@ -89,7 +83,7 @@ class TestCompDeCasteljau:
     def test_equals_plain_when_everything_is_exact(self):
         # dyadic data, s = 0.5: every update is exact, no compensation needed
         p = BernsteinPoly([1.0, 2.0, 3.0, 4.0])
-        assert comp_de_casteljau_k(p, 0.5, 2) == de_casteljau(p, 0.5) == float(
+        assert comp_de_casteljau_k(p, 0.5, 2) == comp_de_casteljau_k(p, 0.5, 1) == float(
             exact_eval(p, 0.5)
         )
 
@@ -103,7 +97,7 @@ class TestLocalError:
         p = [1.0, -2.0, 3.0, 4.0, -5.0]
         for k in (2, 3, 5):
             value, trace = comp_de_casteljau_k(p, 0.5, k, capture=True)
-            assert value == de_casteljau(p, 0.5) == float(exact_eval(p, 0.5))
+            assert value == comp_de_casteljau_k(p, 0.5, 1) == float(exact_eval(p, 0.5))
             for tri in trace.error_triangles:
                 assert all(x == 0.0 for level in tri for x in level)
 
@@ -214,16 +208,11 @@ def replay_cascade(coeffs, s, k):
 
 
 class TestCompDeCasteljauK:
-    def test_k1_is_plain(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            coeffs = [rng.uniform(-4, 4) for _ in range(rng.randint(1, 9))]
-            s = rng.random()
-            assert comp_de_casteljau_k(coeffs, s, 1) == de_casteljau(coeffs, s)
-
     def test_k0_rejected(self):
-        with pytest.raises(ValueError):
-            comp_de_casteljau_k(CUBIC, 0.5, 0)
+        # Also any k that is not an int, even an integral float.
+        for k in (0, -1, 2.0, "2"):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                comp_de_casteljau_k(CUBIC, 0.5, k)
 
     def test_capture_requires_k2(self):
         with pytest.raises(ValueError):
@@ -249,17 +238,22 @@ class TestCompDeCasteljauK:
             evaluate(s)
 
     @pytest.mark.parametrize(
-        "evaluate",
+        "evaluate, label",
         [
-            lambda: de_casteljau([1e300, 1e300], 1e10),
-            lambda: comp_de_casteljau_k([1e300, -1e300, 1.0], 1e10, 1),
-            lambda: horner([1.0, 1e300], 1e10),
+            (lambda: comp_de_casteljau_k([1e300, 1e300], 1e10, 1), "K=1"),
+            (lambda: comp_de_casteljau_k([1e300, -1e300, 1.0], 1e10, 1), "K=1"),
+            (lambda: horner([1.0, 1e300], 1e10), "horner"),
         ],
-        ids=["de_casteljau", "comp_k1", "horner"],
+        ids=["k1_same_sign", "comp_k1", "horner"],
     )
-    def test_float_range_overflow_raises(self, evaluate):
-        with pytest.raises(OverflowError, match="float range"):
+    def test_float_range_overflow_raises(self, evaluate, label):
+        with pytest.raises(OverflowError) as exc:
             evaluate()
+        message = str(exc.value)
+        assert message == f"{label} evaluation overflowed the float range"
+        if label == "horner":
+            # horner takes no k, so its message must not name one
+            assert "K=" not in message
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_split_overflow_raises(self, k):
@@ -340,17 +334,17 @@ class TestCompDeCasteljauK:
 
 class TestHorner:
     def test_exact_intermediates(self):
-        assert horner(MonomialPoly([-1.0, 6.0, -12.0, 8.0]), 0.5) == 0.0
+        assert horner([-1.0, 6.0, -12.0, 8.0], 0.5) == 0.0
 
     def test_constant(self):
-        assert horner(MonomialPoly([3.25]), 123.0) == 3.25
+        assert horner([3.25], 123.0) == 3.25
 
     def test_near_half_matches_oracle_within_growth_bound(self):
         from conftest import gamma
 
         s = 0.5 + 2.0**-20
         a = [-1.0, 6.0, -12.0, 8.0]
-        value = horner(MonomialPoly(a), s)
+        value = horner(a, s)
         sf = Fraction(s)
         exact = sum(Fraction(c) * sf**i for i, c in enumerate(a))
         tilde = sum(abs(Fraction(c)) * sf**i for i, c in enumerate(a))
@@ -368,5 +362,7 @@ class TestFlopCount:
         assert flop_count(5, 1) == 3 * 15 + 1 == 46
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            flop_count(4, 0)
+        # Also a k that is not an int, and a negative degree.
+        for n, k, name in ((4, 0, "k"), (3, 2.0, "k"), (-1, 2, "degree n")):
+            with pytest.raises(ValueError, match=f"^{name} must be a"):
+                flop_count(n, k)

@@ -52,6 +52,12 @@ def cubic_records():
     return run_cubic_comparison()
 
 
+def _csv_rows(records):
+    """The rendered CSV of ``records`` as one dict per row, keyed by column."""
+    lines = render_csv(records).splitlines()
+    return [dict(zip(CSV_HEADER, line.split(","))) for line in lines[1:]]
+
+
 class TestCsvShape:
     def test_header_and_field_count(self):
         records = run_root_neighborhood(points=5)
@@ -62,13 +68,15 @@ class TestCsvShape:
         assert text.endswith("\n") and "\r" not in text
 
     def test_value_hex_round_trips(self):
-        for r in run_root_neighborhood(points=7):
-            assert float.fromhex(r.value_hex).hex() == r.value_hex
-            assert float.fromhex(r.s_hex) == float(r.s_dec)
+        records = run_root_neighborhood(points=7)
+        for r, row in zip(records, _csv_rows(records), strict=True):
+            assert float.fromhex(row["value_hex"]).hex() == row["value_hex"]
+            assert float.fromhex(row["value_hex"]) == r.value
+            assert float.fromhex(row["s_hex"]) == float(row["s_dec"]) == r.s
 
     def test_rows_sorted_by_point_method_k(self):
         records = run_cubic_comparison(points=9)
-        keys = [(float.fromhex(r.s_hex), r.method, r.k) for r in records]
+        keys = [(r.s, r.method, r.k) for r in records]
         assert keys == sorted(keys)
 
 
@@ -89,13 +97,13 @@ class TestRootNeighborhood:
 
     def test_root_row_reports_absolute_error(self):
         records = run_root_neighborhood(points=5)
-        root_rows = [r for r in records if float.fromhex(r.s_hex) == 0.75]
+        root_rows = [r for r in records if r.s == 0.75]
         assert len(root_rows) == 3
         for r in root_rows:
             assert r.cond == math.inf
-            assert r.exact_dec == "0"
+            assert r.exact == 0
             # rel_err column carries abs(computed - 0) here
-            assert r.rel_err == abs(float.fromhex(r.value_hex))
+            assert r.rel_err == abs(r.value)
 
 
 class TestConditionSweep:
@@ -137,20 +145,20 @@ class TestCubicComparison:
         assert len(cubic_records) == 401 * 2 + 401 * 2 + 3
 
     def test_spotlight_rows(self, cubic_records):
-        spotlight = [r for r in cubic_records if float.fromhex(r.s_hex) == SPOTLIGHT_S]
+        spotlight = [r for r in cubic_records if r.s == SPOTLIGHT_S]
         by_method = {(r.method, r.k): r for r in spotlight}
         assert set(by_method) == {("comp", 2), ("compK", 3), ("compK", 4)}
         collapse = by_method[("comp", 2)]
-        assert float.fromhex(collapse.value_hex) == 0.0
+        assert collapse.value == 0.0
         assert collapse.rel_err == 1.0
         assert by_method[("compK", 3)].rel_err <= TWO_U
         assert by_method[("compK", 4)].rel_err <= TWO_U
 
     def test_center_rows_exact_zero(self, cubic_records):
-        center = [r for r in cubic_records if float.fromhex(r.s_hex) == 0.5]
+        center = [r for r in cubic_records if r.s == 0.5]
         assert len(center) == 4  # horner, decasteljau, comp, compK
         for r in center:
-            assert float.fromhex(r.value_hex) == 0.0
+            assert r.value == 0.0
             assert r.rel_err == 0.0
             assert r.cond == math.inf
 
@@ -279,15 +287,15 @@ class TestCli:
 
 class TestExactBookkeeping:
     def test_exact_dec_has_forty_significant_digits(self):
-        records = run_condition_sweep(k_list=(1,), points=2)
-        for r in records:
-            mantissa = r.exact_dec.split("E")[0].replace("-", "").replace(".", "")
+        for row in _csv_rows(run_condition_sweep(k_list=(1,), points=2)):
+            mantissa = row["exact_dec"].split("E")[0].replace("-", "").replace(".", "")
             assert len(mantissa.lstrip("0")) in (39, 40)
 
     def test_exact_dec_close_to_oracle(self):
-        records = run_root_neighborhood(points=3)
-        for r in records:
-            exact = exact_eval(OCTIC, float.fromhex(r.s_hex))
-            if exact != 0:
-                approx = Fraction(r.exact_dec.replace("E", "e"))
+        for row in _csv_rows(run_root_neighborhood(points=3)):
+            exact = exact_eval(OCTIC, float.fromhex(row["s_hex"]))
+            approx = Fraction(row["exact_dec"].replace("E", "e"))
+            if exact == 0:
+                assert row["exact_dec"] == "0"
+            else:
                 assert abs(approx - exact) <= abs(exact) * Fraction(1, 10**38)

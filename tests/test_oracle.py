@@ -156,6 +156,13 @@ class TestBernsteinFromMonomial:
         # beyond the float range: the same error, not a bare OverflowError
         with pytest.raises(ValueError, match="coefficient 0"):
             bernstein_from_root_form([], scale=2**2000)
+        # a multiplicity that is not a positive int names its factor
+        with pytest.raises(ValueError, match="factor 0"):
+            bernstein_from_root_form([(0.5, -1)])
+        with pytest.raises(ValueError, match="factor 1"):
+            bernstein_from_root_form([(0.5, 1), (0.5, 2.5)])
+        with pytest.raises(ValueError, match="factor 1"):
+            bernstein_from_root_form([(0.5, 1), (0.25, 0)])
 
 
 class TestBernsteinFromRootForm:

@@ -1,12 +1,15 @@
 """The README cannot drift from the API: its example session runs as a doctest,
-and its Library section names exactly ``casteljau.__all__``."""
+its Library section names exactly ``casteljau.__all__``, and its CLI synopsis
+lists exactly the flags each experiment takes."""
 
+import argparse
 import builtins
 import doctest
 import re
 from pathlib import Path
 
 import casteljau
+from casteljau import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +40,26 @@ def test_library_section_matches_public_api():
     }
     assert documented == set(casteljau.__all__)
     assert all(hasattr(casteljau, name) for name in casteljau.__all__)
+
+
+def _subcommand_flags() -> dict[str, set[str]]:
+    (sub,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {flag for a in parser._actions for flag in a.option_strings}
+        - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_cli_synopsis_matches_parser():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    assert section, "README.md has no sh block under '## CLI'"
+    documented = {}
+    for line in section.group(1).splitlines():
+        prog, experiment, *rest = line.split()
+        assert prog == "casteljau"
+        documented[experiment] = set(re.findall(r"--[\w-]+", " ".join(rest)))
+    assert documented == _subcommand_flags()
