@@ -9,13 +9,7 @@ exact rational oracle (:mod:`.oracle`), flop-count instrumentation
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
 from .eft import split, sum_k, two_prod, two_prod_fma, two_sum
-from .evaluate import (
-    BernsteinPoly,
-    CompensationTrace,
-    comp_de_casteljau_k,
-    flop_count,
-    horner,
-)
+from .evaluate import CompensationTrace, comp_de_casteljau_k, flop_count, horner
 from .oracle import (
     ConditionReport,
     bernstein_from_root_form,
@@ -30,7 +24,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernsteinPoly",
     "CompensationTrace",
     "ConditionReport",
     "CountingFloat",

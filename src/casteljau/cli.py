@@ -47,6 +47,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("empty k list")
     if any(not 1 <= k <= 8 for k in values):
         raise argparse.ArgumentTypeError(f"k values must lie in 1..8, got {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"k values must not repeat, got {text!r}")
     return values
 
 
@@ -61,7 +63,7 @@ def _parse_points(text: str) -> int:
 
 
 _FLAGS = {
-    "k_list": ("--k", _parse_k_list, "LIST", "comma-separated K values, each in 1..8"),
+    "k_list": ("--k", _parse_k_list, "LIST", "comma-separated distinct K values, each in 1..8"),
     "points": ("--points", _parse_points, "N", "number of sweep points per window, at least 2"),
 }
 

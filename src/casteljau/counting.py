@@ -14,9 +14,9 @@ mid-expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .evaluate import BernsteinPoly, comp_de_casteljau_k
+from .evaluate import comp_de_casteljau_k
 
 
 @dataclass
@@ -85,16 +85,13 @@ class CountingFloat(float):
         return CountingFloat(float.__abs__(self), self.counter)
 
 
-def count_evaluation_flops(
-    p: Union[BernsteinPoly, Sequence[float]], s: float, k: int
-) -> tuple[float, FlopCounter]:
+def count_evaluation_flops(p: Sequence[float], s: float, k: int) -> tuple[float, FlopCounter]:
     """Run ``comp_de_casteljau_k`` on instrumented scalars.
 
     Returns the (plain float) result and the operation tally.  The value is
     bitwise identical to the uninstrumented evaluation.
     """
-    coeffs = p.coeffs if isinstance(p, BernsteinPoly) else p
     counter = FlopCounter()
-    wrapped = BernsteinPoly([CountingFloat(c, counter) for c in coeffs])
+    wrapped = [CountingFloat(c, counter) for c in p]
     value = comp_de_casteljau_k(wrapped, CountingFloat(s, counter), k)
     return float(value), counter

@@ -109,7 +109,7 @@ def sum_k(p: Sequence[float], k: int) -> float:
 
     where e is the exact sum and g(m) = m*u/(1 - m*u).
     """
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if not p:
         raise ValueError("sum_k requires a nonempty vector")

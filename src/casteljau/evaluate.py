@@ -12,6 +12,10 @@ precision; K = 2 is the classic once-compensated algorithm.
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
 
+A polynomial is a plain sequence of coefficients.  The point s is checked
+up front; the coefficients only when the result is not finite, since a
+finite result proves them finite.
+
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
 """
@@ -23,29 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .eft import sum_k, two_prod, two_sum
-
-
-def _finite_coeffs(coeffs: Sequence[float], kind: str) -> tuple[float, ...]:
-    vals = tuple(x if isinstance(x, float) else float(x) for x in coeffs)
-    if not vals:
-        raise ValueError(f"{kind} needs at least one coefficient")
-    if not all(math.isfinite(x) for x in vals):
-        raise ValueError(f"{kind} coefficients must be finite")
-    return vals
-
-
-@dataclass(frozen=True)
-class BernsteinPoly:
-    """Coefficients b_0..b_n of p(s) = sum_j b_j * C(n,j) (1-s)^(n-j) s^j."""
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs: Sequence[float]):
-        object.__setattr__(self, "coeffs", _finite_coeffs(coeffs, "BernsteinPoly"))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -64,11 +45,13 @@ class CompensationTrace:
     rho: float
 
 
-PolyLike = Union[BernsteinPoly, Sequence[float]]
-
-
-def _bernstein(p: PolyLike) -> BernsteinPoly:
-    return p if isinstance(p, BernsteinPoly) else BernsteinPoly(p)
+def _coefficients(p: Sequence[float], name: str) -> list[float]:
+    # Float subclasses such as CountingFloat pass unchanged; ints and
+    # Fractions become the nearest float.
+    row = [c if isinstance(c, float) else float(c) for c in p]
+    if not row:
+        raise ValueError(f"{name} needs at least one coefficient")
+    return row
 
 
 def _zero_like(x: float) -> float:
@@ -83,16 +66,23 @@ def _check_point(s: float) -> None:
         raise ValueError(f"evaluation point s must be finite, got {s!r}")
 
 
-def _check_result(result: float, label: str, limit: str = "") -> float:
-    # Coefficients and s are finite, and inf or nan never cancels out of the
-    # triangles, so a non-finite result means some intermediate overflowed.
-    if not math.isfinite(result):
-        raise OverflowError(f"{label} evaluation overflowed the float range{limit}")
-    return result
+def _check_result(
+    result: float, coeffs: Sequence[float], name: str, label: str, limit: str = ""
+) -> float:
+    # s is checked up front, and every coefficient reaches the result through
+    # +, - and * alone, which never turn inf or nan back into a finite value
+    # (even 0 * inf is nan).  So a finite result proves every coefficient
+    # finite, and only a non-finite one needs the O(n) scan: it comes either
+    # from a non-finite coefficient or from an intermediate that overflowed.
+    if math.isfinite(result):
+        return result
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError(f"{name} coefficients must be finite")
+    raise OverflowError(f"{label} evaluation overflowed the float range{limit}")
 
 
 def comp_de_casteljau_k(
-    p: PolyLike, s: float, k: int, capture: bool = False
+    p: Sequence[float], s: float, k: int, capture: bool = False
 ) -> Union[float, tuple[float, CompensationTrace]]:
     """de Casteljau compensated to K-fold working precision.
 
@@ -110,28 +100,30 @@ def comp_de_casteljau_k(
     With ``capture=True`` (k >= 2 only) also returns the full triangle state
     as a :class:`CompensationTrace`.
 
-    Raises ValueError for a non-finite s or a k that is not a positive int.
-    An intermediate beyond the float range (for k >= 2 also beyond
+    ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
+    non-float numbers are converted with ``float``.  Raises ValueError for a
+    non-finite coefficient or s, or a k that is not a positive int.  An
+    intermediate beyond the float range (for k >= 2 also beyond
     |x| < 2**996, which ``split`` needs) makes the result non-finite, and
     that is raised as OverflowError rather than returned.
     """
-    poly = _bernstein(p)
-    if not isinstance(k, int) or k < 1:
+    coeffs = _coefficients(p, "comp_de_casteljau_k")
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _check_point(s)
     if k == 1:
         if capture:
             raise ValueError("capture requires k >= 2; k=1 has no error triangles")
         r = 1.0 - s
-        row = list(poly.coeffs)
+        row = coeffs
         for level in range(len(row) - 2, -1, -1):
             row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
-        return _check_result(row[0], "K=1")
+        return _check_result(row[0], coeffs, "comp_de_casteljau_k", "K=1")
 
-    n = poly.degree
+    n = len(coeffs) - 1
     r_hat, rho = two_sum(1.0, -s)
     zero = _zero_like(s)
-    base = list(poly.coeffs)
+    base = coeffs
     errs = [[zero] * (n + 1) for _ in range(k - 1)]
     if capture:
         base_levels = [tuple(base)]
@@ -186,6 +178,8 @@ def comp_de_casteljau_k(
 
     result = _check_result(
         sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k),
+        coeffs,
+        "comp_de_casteljau_k",
         f"K={k}",
         "; split needs every product operand below 2**996",
     )
@@ -208,12 +202,12 @@ def horner(coeffs: Sequence[float], s: float) -> float:
     a non-finite coefficient or s, and OverflowError when an intermediate
     leaves the float range.
     """
-    coeffs = _finite_coeffs(coeffs, "horner")
+    coeffs = _coefficients(coeffs, "horner")
     _check_point(s)
     result = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         result = (result * s) + coeffs[i]
-    return _check_result(result, "horner")
+    return _check_result(result, coeffs, "horner", "horner")
 
 
 def flop_count(n: int, k: int) -> int:
@@ -223,9 +217,9 @@ def flop_count(n: int, k: int) -> int:
     (15k**2 + 11k - 34)*T_n + 6k**2 - 11k + 11, counting the split-based
     product transform at 17 flops and the final k-term compensated sum.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"degree n must be a nonnegative integer, got {n}")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     t_n = n * (n + 1) // 2
     if k == 1:

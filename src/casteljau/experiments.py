@@ -168,19 +168,26 @@ def run_condition_sweep(
     decreases the point approaches the root and the condition number grows
     by about 1.3**7 per step.  Methods are K = 1..4 by default.  The sweep
     asserts strict monotone growth of the condition number, which the
-    accuracy-versus-conditioning analysis keys on.
+    accuracy-versus-conditioning analysis keys on.  Past 133 points the
+    points run out of binary64 spacing near 3/4 and one repeats its
+    predecessor; that input limit raises ValueError, not CheckFailed.
     """
     records = []
-    last_cond = None
+    last_s = last_cond = None
     for j in range(-5, -5 - points, -1):
         s = _geometric_point(j)
+        if s == last_s:
+            raise ValueError(
+                f"point j={j} repeats its predecessor {s.hex()}: binary64 spacing "
+                f"near 3/4 leaves room for only {-5 - j} distinct points"
+            )
         report = condition_number(OCTIC, s)
         if last_cond is not None and not report.cond > last_cond:
             raise CheckFailed(
                 f"condition number is not strictly increasing at j={j}: "
                 f"{float(report.cond)} <= {float(last_cond)}"
             )
-        last_cond = report.cond
+        last_s, last_cond = s, report.cond
         for k in k_list:
             value = comp_de_casteljau_k(OCTIC, s, k)
             records.append(_record(s, _method_for(k), k, value, report))
@@ -251,7 +258,7 @@ def run_table_reproduction() -> list[str]:
     """
     s = SPOTLIGHT_S
     result, trace = comp_de_casteljau_k(QUARTIC, s, 2, capture=True)
-    coeffs, n = QUARTIC.coeffs, QUARTIC.degree
+    n = len(QUARTIC) - 1
     reference = _spotlight_reference()
 
     lines = [
@@ -266,7 +273,7 @@ def run_table_reproduction() -> list[str]:
             err1 = trace.error_triangles[0][level][j]
             want_base, want_err1, want_resid = reference[(level, j)]
             # The exact triangle entry (level, j) is p(s) on coefficients j..j+n-level.
-            exact = exact_eval(coeffs[j : j + n - level + 1], s)
+            exact = exact_eval(QUARTIC[j : j + n - level + 1], s)
             resid = exact - Fraction(base) - Fraction(err1)
             ok_b = Fraction(base) == want_base
             ok_e = Fraction(err1) == want_err1

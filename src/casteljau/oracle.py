@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .evaluate import BernsteinPoly
-
 RationalLike = Union[int, float, Fraction]
-PolyLike = Union[BernsteinPoly, Sequence[RationalLike]]
 
 
 def nearest_float(x: Fraction) -> float:
@@ -27,11 +24,10 @@ def nearest_float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _coefficients(p: PolyLike) -> list[Fraction]:
-    coeffs = p.coeffs if isinstance(p, BernsteinPoly) else p
-    if len(coeffs) == 0:
+def _coefficients(p: Sequence[RationalLike]) -> list[Fraction]:
+    if len(p) == 0:
         raise ValueError("polynomial needs at least one coefficient")
-    return [Fraction(c) for c in coeffs]
+    return [Fraction(c) for c in p]
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class ConditionReport:
     rounded_cond: float
 
 
-def exact_eval(p: PolyLike, s: RationalLike) -> Fraction:
+def exact_eval(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     """p(s) by the de Casteljau recurrence in exact rational arithmetic."""
     row = _coefficients(p)
     sf = Fraction(s)
@@ -58,7 +54,7 @@ def exact_eval(p: PolyLike, s: RationalLike) -> Fraction:
     return row[0]
 
 
-def exact_eval_basis(p: PolyLike, s: RationalLike) -> Fraction:
+def exact_eval_basis(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     """p(s) by direct basis summation; an independent check of exact_eval."""
     coeffs = _coefficients(p)
     n = len(coeffs) - 1
@@ -69,7 +65,7 @@ def exact_eval_basis(p: PolyLike, s: RationalLike) -> Fraction:
     )
 
 
-def p_tilde(p: PolyLike, s: RationalLike) -> Fraction:
+def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     """The conditioning numerator: sum of abs(b_j) times the basis at s.
 
     Only defined here for s in [0, 1], where the basis functions are
@@ -81,7 +77,7 @@ def p_tilde(p: PolyLike, s: RationalLike) -> Fraction:
     return exact_eval([abs(c) for c in _coefficients(p)], sf)
 
 
-def condition_number(p: PolyLike, s: RationalLike) -> ConditionReport:
+def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionReport:
     """Relative condition number of evaluating p at s, with exact parts.
 
     cond = p_tilde(s) / abs(p(s)); at a root of p this is reported as
@@ -115,27 +111,9 @@ def relative_error(computed: float, exact: Fraction) -> float:
     return nearest_float(abs(Fraction(computed) - exact) / abs(exact))
 
 
-def _to_bernstein(monomial: Sequence[Fraction]) -> BernsteinPoly:
-    n = len(monomial) - 1
-    floats = []
-    for j in range(n + 1):
-        b_j = sum(
-            Fraction(math.comb(j, i), math.comb(n, i)) * monomial[i]
-            for i in range(j + 1)
-        )
-        value = nearest_float(b_j)
-        if not math.isfinite(value) or Fraction(value) != b_j:
-            raise ValueError(
-                f"Bernstein coefficient {j} = {b_j} is not exactly "
-                "representable in binary64"
-            )
-        floats.append(value)
-    return BernsteinPoly(floats)
-
-
 def bernstein_from_root_form(
     linear_factors: Sequence[tuple[RationalLike, int]], scale: RationalLike = 1
-) -> BernsteinPoly:
+) -> tuple[float, ...]:
     """Bernstein coefficients of scale * product of (s - root)^multiplicity.
 
     Expands the factors exactly in the monomial basis, then converts with
@@ -157,4 +135,18 @@ def bernstein_from_root_form(
             for i in range(1, len(monomial) + 1):
                 shifted[i] += monomial[i - 1]
             monomial = shifted
-    return _to_bernstein(monomial)
+    n = len(monomial) - 1
+    floats = []
+    for j in range(n + 1):
+        b_j = sum(
+            Fraction(math.comb(j, i), math.comb(n, i)) * monomial[i]
+            for i in range(j + 1)
+        )
+        value = nearest_float(b_j)
+        if not math.isfinite(value) or Fraction(value) != b_j:
+            raise ValueError(
+                f"Bernstein coefficient {j} = {b_j} is not exactly "
+                "representable in binary64"
+            )
+        floats.append(value)
+    return tuple(floats)

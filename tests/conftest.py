@@ -16,7 +16,6 @@ from casteljau import (
     two_prod,
     two_sum,
 )
-from casteljau.evaluate import _bernstein, _zero_like
 
 # Deterministic property testing: the suite doubles as a regression gate, so
 # example generation must not vary between runs.
@@ -67,12 +66,10 @@ def once_compensated(coeffs, s):
     per-site rounding errors feed a parallel error triangle, and the final
     value is the base result plus the accumulated correction.
     """
-    coeffs = _bernstein(coeffs).coeffs
-    r_hat, rho = two_sum(1.0, -s)
-    zero = _zero_like(s)
     base = list(coeffs)
-    err = [zero] * len(coeffs)
-    for level in range(len(coeffs) - 2, -1, -1):
+    r_hat, rho = two_sum(1.0, -s)
+    err = [0.0] * len(base)
+    for level in range(len(base) - 2, -1, -1):
         new_base = []
         new_err = []
         for j in range(level + 1):

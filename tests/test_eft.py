@@ -149,7 +149,7 @@ class TestSumK:
         assert sum_k([1.0, 2.0**-53, 2.0**-53], 2) == 1.0 + 2.0**-52
 
     def test_invalid_k_rejected(self):
-        for k in (0, -1, 2.0):
+        for k in (0, -1, 2.0, True):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 sum_k([1.0], k)
         with pytest.raises(ValueError):

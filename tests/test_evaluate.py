@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casteljau import (
-    BernsteinPoly,
     comp_de_casteljau_k,
+    count_evaluation_flops,
     exact_eval,
     flop_count,
     horner,
@@ -20,8 +20,8 @@ from casteljau import (
 
 from conftest import check_accuracy_bounds, once_compensated, signed_floats
 
-CUBIC = BernsteinPoly([-1.0, 1.0, -1.0, 1.0])
-QUARTIC = BernsteinPoly([1.0, -0.75, 0.5, -0.25, 0.0])
+CUBIC = (-1.0, 1.0, -1.0, 1.0)
+QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
 U_FLOAT = 2.0**-53
 SPOTLIGHT = 0.5 + 1001 * U_FLOAT
 
@@ -30,23 +30,53 @@ small_floats = signed_floats(2.0**-60, 2.0**60)
 
 
 class TestPolyTypes:
+    """A polynomial is any sequence of numbers; non-floats become floats."""
+
     def test_int_coefficients_coerced(self):
-        p = BernsteinPoly([1, -2, 3])
-        assert p.coeffs == (1.0, -2.0, 3.0)
-        assert all(type(c) is float for c in p.coeffs)
-        assert p.degree == 2
+        # Int and Fraction coefficients, in a list or a tuple, give the bits
+        # of their float values, and a float even at degree 0.
+        floats = [1.0, -2.0, 0.75]
+        for coeffs in ([1, -2, Fraction(3, 4)], (1, -2, Fraction(3, 4))):
+            for k in (1, 2, 3):
+                want = comp_de_casteljau_k(floats, 0.3, k)
+                assert comp_de_casteljau_k(coeffs, 0.3, k) == want
+                value = comp_de_casteljau_k([2], 0.3, k)
+                assert type(value) is float and value == 2.0
+        assert horner([1, -2, Fraction(3, 4)], 0.3) == horner(floats, 0.3)
+        assert type(horner([2], 0.3)) is float
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            BernsteinPoly([])
+            comp_de_casteljau_k([], 0.5, 1)
         with pytest.raises(ValueError):
             horner([], 1.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            BernsteinPoly([1.0, math.inf])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^comp_de_casteljau_k coefficients must be finite$"):
+            comp_de_casteljau_k([1.0, math.inf], 0.5, 1)
+        with pytest.raises(ValueError, match="^horner coefficients must be finite$"):
             horner([math.nan], 1.0)
+
+    @given(
+        st.lists(small_floats, min_size=1, max_size=9),
+        st.data(),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_nonfinite_coefficient_anywhere_rejected(self, coeffs, data, bad, s):
+        # The coefficients are scanned only when the result is not finite;
+        # a non-finite coefficient must always make it so, even at s = 0 or 1
+        # where the basis weights it by zero.
+        coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = bad
+        calls = [lambda k=k: comp_de_casteljau_k(coeffs, s, k) for k in range(1, 6)]
+        calls += [
+            lambda: horner(coeffs, s),
+            lambda: comp_de_casteljau_k(coeffs, s, 2, capture=True),
+            lambda: count_evaluation_flops(coeffs, s, 3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                call()
 
 
 class TestDeCasteljau:
@@ -60,16 +90,14 @@ class TestDeCasteljau:
         assert comp_de_casteljau_k(QUARTIC, 1.0, 1) == 0.0
 
     def test_degree_zero(self):
-        assert comp_de_casteljau_k(BernsteinPoly([2.5]), 0.3, 1) == 2.5
-        for k in (2, 4):
-            assert comp_de_casteljau_k(BernsteinPoly([2.5]), 0.3, k) == 2.5
+        for k in (1, 2, 4):
+            assert comp_de_casteljau_k([2.5], 0.3, k) == 2.5
 
     @given(st.lists(signed_floats(2.0**-50, 2.0**50), min_size=1, max_size=13))
     def test_endpoint_exactness_all_evaluators(self, coeffs):
-        p = BernsteinPoly(coeffs)
         for k in (1, 2, 3):
-            assert comp_de_casteljau_k(p, 0.0, k) == coeffs[0]
-            assert comp_de_casteljau_k(p, 1.0, k) == coeffs[-1]
+            assert comp_de_casteljau_k(coeffs, 0.0, k) == coeffs[0]
+            assert comp_de_casteljau_k(coeffs, 1.0, k) == coeffs[-1]
 
 
 class TestCompDeCasteljau:
@@ -82,7 +110,7 @@ class TestCompDeCasteljau:
 
     def test_equals_plain_when_everything_is_exact(self):
         # dyadic data, s = 0.5: every update is exact, no compensation needed
-        p = BernsteinPoly([1.0, 2.0, 3.0, 4.0])
+        p = [1.0, 2.0, 3.0, 4.0]
         assert comp_de_casteljau_k(p, 0.5, 2) == comp_de_casteljau_k(p, 0.5, 1) == float(
             exact_eval(p, 0.5)
         )
@@ -209,8 +237,8 @@ def replay_cascade(coeffs, s, k):
 
 class TestCompDeCasteljauK:
     def test_k0_rejected(self):
-        # Also any k that is not an int, even an integral float.
-        for k in (0, -1, 2.0, "2"):
+        # Also any k that is not an int, even an integral float or a bool.
+        for k in (0, -1, 2.0, "2", True, False):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 comp_de_casteljau_k(CUBIC, 0.5, k)
 
@@ -281,21 +309,21 @@ class TestCompDeCasteljauK:
     def test_s_zero_any_k_bit_exact_with_zero_triangles(self):
         for k in (2, 3, 5):
             value, trace = comp_de_casteljau_k(QUARTIC, 0.0, k, capture=True)
-            assert value == QUARTIC.coeffs[0]
+            assert value == QUARTIC[0]
             for tri in trace.error_triangles:
                 assert all(x == 0.0 for level in tri for x in level)
 
     def test_trace_shapes_and_invariants(self):
         s = 0.7
         value, trace = comp_de_casteljau_k(QUARTIC, s, 3, capture=True)
-        n = QUARTIC.degree
+        n = len(QUARTIC) - 1
         assert len(trace.base_triangle) == n + 1
         assert len(trace.error_triangles) == 2
         for level in range(n + 1):
             assert len(trace.base_triangle[level]) == level + 1
             for tri in trace.error_triangles:
                 assert len(tri[level]) == level + 1
-        assert trace.base_triangle[n] == QUARTIC.coeffs
+        assert trace.base_triangle[n] == QUARTIC
         for tri in trace.error_triangles:
             assert all(x == 0.0 for x in tri[n])
         assert Fraction(trace.r_hat) + Fraction(trace.rho) == 1 - Fraction(s)
@@ -362,7 +390,12 @@ class TestFlopCount:
         assert flop_count(5, 1) == 3 * 15 + 1 == 46
 
     def test_k_zero_rejected(self):
-        # Also a k that is not an int, and a negative degree.
-        for n, k, name in ((4, 0, "k"), (3, 2.0, "k"), (-1, 2, "degree n")):
+        # Also a k that is not an int, and a negative degree; a bool is no
+        # int for either.
+        cases = (
+            (4, 0, "k"), (3, 2.0, "k"), (-1, 2, "degree n"),
+            (3, True, "k"), (True, 2, "degree n"),
+        )
+        for n, k, name in cases:
             with pytest.raises(ValueError, match=f"^{name} must be a"):
                 flop_count(n, k)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import casteljau
-from casteljau import cli, exact_eval
+from casteljau import cli, condition_number, exact_eval, experiments
 from casteljau.cli import main
 from casteljau.experiments import (
     CSV_HEADER,
@@ -128,7 +128,7 @@ class TestConditionSweep:
         # Clamped comparison: beyond total accuracy loss (rel_err >= 1) the
         # magnitude of the garbage is meaningless, so the curve applies
         # only while it promises something (curve < 1).
-        n = OCTIC.degree
+        n = len(OCTIC) - 1
         for r in sweep_records:
             curve = cond_multiplier(n, r.k) * Fraction(r.cond) + TWO_U
             if curve < 1:
@@ -138,6 +138,21 @@ class TestConditionSweep:
         records = run_condition_sweep(k_list=(2, 5), points=4)
         assert len(records) == 8
         assert {r.k for r in records} == {2, 5}
+
+    def test_points_past_float_spacing_are_refused(self, capsys):
+        # fl(3/4 - 1.3**-138) equals the point before it: the points have run
+        # out of binary64 spacing, an input limit rather than a regression.
+        assert len(run_condition_sweep(k_list=(1,), points=133)) == 133
+        assert main(["condition-sweep", "--points", "134"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "j=-138" in captured.err and "133 distinct points" in captured.err
+
+    def test_non_increasing_condition_is_a_regression(self, monkeypatch):
+        flat = condition_number(OCTIC, 0.5)
+        monkeypatch.setattr(experiments, "condition_number", lambda p, s: flat)
+        with pytest.raises(CheckFailed, match="not strictly increasing at j=-6"):
+            run_condition_sweep(k_list=(1,), points=3)
 
 
 class TestCubicComparison:
@@ -229,6 +244,8 @@ class TestCli:
             ["root-neighborhood", "--k", "2"],
             ["cubic-compare", "--k", "2"],
             ["flops", "--points", "5"],
+            ["flops", "--k", "2,2"],
+            ["condition-sweep", "--k", "1,3,1"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )
