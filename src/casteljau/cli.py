@@ -39,12 +39,13 @@ _EXPERIMENTS = {
 
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(f"empty item in k list {text!r}")
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty k list")
     if any(not 1 <= k <= 8 for k in values):
         raise argparse.ArgumentTypeError(f"k values must lie in 1..8, got {text!r}")
     if len(set(values)) != len(values):

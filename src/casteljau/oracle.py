@@ -1,9 +1,13 @@
 """Exact rational ground truth for Bernstein-form evaluation.
 
-Every finite binary64 value is a dyadic rational, so converting inputs with
-``fractions.Fraction`` is exact and all arithmetic here is exact.  Rounding
-happens at most once per reported quantity, when a rational result is turned
-back into a float for display.
+Every coefficient and point is taken as an exact rational: every finite
+binary64 value is a dyadic rational m * 2**e, so the conversion is exact.
+The de Casteljau triangles run on plain Python ints: the coefficients are
+scaled to integers over their common denominator L, and s = a/q turns each
+step r*x + s*y into (q - a)*x + a*y.  The result N over L * q**n is one
+exact ``Fraction``, reduced by a single gcd at the end instead of one per
+step.  Rounding happens at most once per reported quantity, when a rational
+result is turned back into a float for display.
 """
 
 from __future__ import annotations
@@ -30,6 +34,47 @@ def _coefficients(p: Sequence[RationalLike]) -> list[Fraction]:
     return [Fraction(c) for c in p]
 
 
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """x as (numerator, denominator) in lowest terms, denominator > 0."""
+    # A float gives its ratio directly, without building a Fraction.
+    if type(x) is float:
+        return x.as_integer_ratio()
+    return Fraction(x).as_integer_ratio()
+
+
+def _integer_row(p: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Integers N_j and their common denominator L with b_j = N_j / L.
+
+    L is the lcm of the coefficients' denominators, a power of two for
+    float coefficients.
+    """
+    if len(p) == 0:
+        raise ValueError("polynomial needs at least one coefficient")
+    ratios = [_ratio(c) for c in p]
+    common = math.lcm(*(d for _, d in ratios))
+    return [n * (common // d) for n, d in ratios], common
+
+
+def _triangle(row: list[int], a: int, q: int) -> int:
+    """q**n times the de Casteljau value of ``row`` at s = a/q, exactly.
+
+    Each step r*x + s*y with r = 1 - s is scaled by q to (q - a)*x + a*y,
+    so every entry stays an integer.  Overwrites ``row``.
+    """
+    b = q - a
+    for level in range(len(row) - 1, 0, -1):
+        for j in range(level):
+            row[j] = b * row[j] + a * row[j + 1]
+    return row[0]
+
+
+def _unit_point(s: RationalLike, caller: str) -> tuple[int, int]:
+    a, q = _ratio(s)
+    if not 0 <= a <= q:
+        raise ValueError(f"{caller} requires s in [0, 1], got {s!r}")
+    return a, q
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Exact evaluation data at one point.
@@ -45,13 +90,10 @@ class ConditionReport:
 
 
 def exact_eval(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
-    """p(s) by the de Casteljau recurrence in exact rational arithmetic."""
-    row = _coefficients(p)
-    sf = Fraction(s)
-    r = 1 - sf
-    while len(row) > 1:
-        row = [r * row[j] + sf * row[j + 1] for j in range(len(row) - 1)]
-    return row[0]
+    """p(s) by the de Casteljau recurrence in exact integer arithmetic."""
+    row, common = _integer_row(p)
+    a, q = _ratio(s)
+    return Fraction(_triangle(row, a, q), common * q ** (len(row) - 1))
 
 
 def exact_eval_basis(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
@@ -71,10 +113,10 @@ def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     Only defined here for s in [0, 1], where the basis functions are
     nonnegative.
     """
-    sf = Fraction(s)
-    if not 0 <= sf <= 1:
-        raise ValueError(f"p_tilde requires s in [0, 1], got {float(sf)}")
-    return exact_eval([abs(c) for c in _coefficients(p)], sf)
+    a, q = _unit_point(s, "p_tilde")
+    row, common = _integer_row(p)
+    tilde_row = [abs(x) for x in row]
+    return Fraction(_triangle(tilde_row, a, q), common * q ** (len(row) - 1))
 
 
 def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionReport:
@@ -82,33 +124,46 @@ def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionRep
 
     cond = p_tilde(s) / abs(p(s)); at a root of p this is reported as
     infinity.  Finite values are always >= 1, and equal 1 exactly when all
-    coefficients share one sign.
+    coefficients share one sign.  Both triangles run on one integer row,
+    over one denominator, which cond's ratio cancels.
     """
-    sf = Fraction(s)
-    if not 0 <= sf <= 1:
-        raise ValueError(f"condition_number requires s in [0, 1], got {float(sf)}")
-    value = exact_eval(p, sf)
-    tilde = p_tilde(p, sf)
-    if value == 0:
+    a, q = _unit_point(s, "condition_number")
+    row, common = _integer_row(p)
+    tilde_row = [abs(x) for x in row]
+    denominator = common * q ** (len(row) - 1)
+    scaled_tilde = _triangle(tilde_row, a, q)
+    scaled_value = _triangle(row, a, q)
+    if scaled_value == 0:
         cond: Union[Fraction, float] = math.inf
         rounded = math.inf
     else:
-        cond = tilde / abs(value)
+        cond = Fraction(scaled_tilde, abs(scaled_value))
         rounded = nearest_float(cond)
     return ConditionReport(
-        exact_value=value, p_tilde=tilde, cond=cond, rounded_cond=rounded
+        exact_value=Fraction(scaled_value, denominator),
+        p_tilde=Fraction(scaled_tilde, denominator),
+        cond=cond,
+        rounded_cond=rounded,
     )
 
 
 def relative_error(computed: float, exact: Fraction) -> float:
     """abs(computed - exact) / abs(exact), exactly, rounded once at the end.
 
-    Raises ZeroDivisionError when ``exact`` is zero; report an absolute
-    error instead in that case.
+    With computed = cn/cd and exact = en/ed this is the integer ratio
+    |cn*ed - en*cd| / |en*cd|, and int true division rounds it correctly;
+    a ratio past the float range gives ``math.inf``.  Raises
+    ZeroDivisionError when ``exact`` is zero; report an absolute error
+    instead in that case.
     """
     if exact == 0:
         raise ZeroDivisionError("exact value is zero; relative error undefined")
-    return nearest_float(abs(Fraction(computed) - exact) / abs(exact))
+    cn, cd = _ratio(computed)
+    en, ed = _ratio(exact)
+    try:
+        return abs(cn * ed - en * cd) / abs(en * cd)
+    except OverflowError:
+        return math.inf
 
 
 def bernstein_from_root_form(
@@ -124,7 +179,7 @@ def bernstein_from_root_form(
     """
     monomial = [Fraction(scale)]
     for index, (root, multiplicity) in enumerate(linear_factors):
-        if not isinstance(multiplicity, int) or multiplicity < 1:
+        if type(multiplicity) is not int or multiplicity < 1:
             raise ValueError(
                 f"factor {index} has multiplicity {multiplicity!r}; "
                 "it must be a positive integer"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from casteljau import (
+    ConditionReport,
     comp_de_casteljau_k,
     exact_eval,
     p_tilde,
@@ -82,6 +84,49 @@ def once_compensated(coeffs, s):
         base = new_base
         err = new_err
     return base[0] + err[0]
+
+
+def fraction_eval(coeffs, s) -> Fraction:
+    """Reference p(s): the de Casteljau triangle in ``Fraction`` arithmetic.
+
+    The oracle runs its triangles on integers over a common denominator;
+    this direct rational transcription of the recurrence is kept only so
+    tests can check those integer paths exactly.
+    """
+    row = [Fraction(c) for c in coeffs]
+    sf = Fraction(s)
+    r = 1 - sf
+    while len(row) > 1:
+        row = [r * row[j] + sf * row[j + 1] for j in range(len(row) - 1)]
+    return row[0]
+
+
+def fraction_p_tilde(coeffs, s) -> Fraction:
+    """Reference p_tilde(s): the ``Fraction`` triangle on abs(b_j)."""
+    return fraction_eval([abs(Fraction(c)) for c in coeffs], s)
+
+
+def _rounded(x: Fraction) -> float:
+    """A nonnegative rational rounded to the nearest float, inf past the range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def fraction_condition_number(coeffs, s) -> ConditionReport:
+    """Reference condition_number from the two ``Fraction`` triangles."""
+    value = fraction_eval(coeffs, s)
+    tilde = fraction_p_tilde(coeffs, s)
+    if value == 0:
+        return ConditionReport(value, tilde, math.inf, math.inf)
+    cond = tilde / abs(value)
+    return ConditionReport(value, tilde, cond, _rounded(cond))
+
+
+def fraction_relative_error(computed, exact) -> float:
+    """Reference relative_error: ``Fraction`` arithmetic, rounded once."""
+    return _rounded(abs(Fraction(computed) - exact) / abs(exact))
 
 
 def check_accuracy_bounds(coeffs, s) -> list[str]:

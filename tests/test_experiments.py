@@ -246,6 +246,8 @@ class TestCli:
             ["flops", "--points", "5"],
             ["flops", "--k", "2,2"],
             ["condition-sweep", "--k", "1,3,1"],
+            ["flops", "--k", "2,,3"],
+            ["flops", "--k", "2,"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )

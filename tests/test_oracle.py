@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from casteljau import (
     bernstein_from_root_form,
+    comp_de_casteljau_k,
     condition_number,
     exact_eval,
     exact_eval_basis,
@@ -20,7 +21,15 @@ from casteljau import (
     relative_error,
 )
 
-from conftest import U, signed_floats
+from casteljau.experiments import OCTIC, SPOTLIGHT_S
+from conftest import (
+    U,
+    fraction_condition_number,
+    fraction_eval,
+    fraction_p_tilde,
+    fraction_relative_error,
+    signed_floats,
+)
 
 QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
 CUBIC = (-1.0, 1.0, -1.0, 1.0)
@@ -68,6 +77,9 @@ class TestPTilde:
             p_tilde(CUBIC, 1.5)
         with pytest.raises(ValueError):
             p_tilde(CUBIC, -0.01)
+        # past the float range: the same error, not an OverflowError
+        with pytest.raises(ValueError, match="s in \\[0, 1\\]"):
+            p_tilde([1.0, 2.0], Fraction(10**400))
 
 
 class TestConditionNumber:
@@ -101,6 +113,8 @@ class TestConditionNumber:
     def test_domain_restricted(self):
         with pytest.raises(ValueError):
             condition_number(CUBIC, 2.0)
+        with pytest.raises(ValueError, match="s in \\[0, 1\\]"):
+            condition_number([1.0, 2.0], Fraction(10**400))
 
 
 class TestRelativeError:
@@ -128,6 +142,124 @@ class TestNearestFloat:
     def test_overflow_maps_to_infinity(self):
         assert nearest_float(Fraction(2) ** 5000) == math.inf
         assert nearest_float(-(Fraction(2) ** 5000)) == -math.inf
+
+
+odd_fractions = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.integers(0, 10**6).map(lambda k: 2 * k + 1)
+)
+rationals = st.one_of(
+    odd_fractions,
+    st.integers(-(10**20), 10**20),
+    signed_floats(2.0**-60, 2.0**60),
+    st.just(0.0),
+    st.fractions(max_denominator=10**9),
+)
+rational_lists = st.lists(rationals, min_size=1, max_size=9)
+non_dyadic_units = st.builds(
+    lambda den, num: Fraction(num % (den + 1), den),
+    st.integers(1, 10**6).map(lambda k: 2 * k + 1),
+    st.integers(0, 2**40),
+)
+unit_points = st.one_of(
+    unit_floats, non_dyadic_units, st.fractions(0, 1, max_denominator=10**9)
+)
+any_points = st.one_of(
+    unit_points,
+    st.floats(-8.0, 8.0),
+    st.fractions(-8, 8, max_denominator=10**6),
+    st.integers(-5, 5),
+)
+
+
+class TestMatchesFractionTriangle:
+    """The integer triangles give exactly the ``Fraction`` triangle's results."""
+
+    @given(rational_lists, any_points)
+    def test_exact_eval(self, coeffs, s):
+        value = exact_eval(coeffs, s)
+        assert type(value) is Fraction
+        assert value == fraction_eval(coeffs, s)
+
+    @given(rational_lists, unit_points)
+    def test_p_tilde(self, coeffs, s):
+        assert p_tilde(coeffs, s) == fraction_p_tilde(coeffs, s)
+
+    @given(rational_lists, unit_points)
+    def test_condition_number(self, coeffs, s):
+        report = condition_number(coeffs, s)
+        expected = fraction_condition_number(coeffs, s)
+        assert report == expected
+        assert _same_bits(report.rounded_cond, expected.rounded_cond)
+        assert report.cond == math.inf or type(report.cond) is Fraction
+
+    @given(rationals, unit_points)
+    def test_degree_zero(self, c, s):
+        assert exact_eval([c], s) == fraction_eval([c], s) == Fraction(c)
+        assert p_tilde([c], s) == abs(Fraction(c))
+        assert condition_number([c], s) == fraction_condition_number([c], s)
+
+    @given(rational_lists, non_dyadic_units)
+    def test_non_dyadic_point(self, coeffs, s):
+        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
+        assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
+
+    @given(rational_lists, st.one_of(st.floats(1.0, 64.0), st.floats(-64.0, 0.0)))
+    def test_exact_eval_outside_unit_interval(self, coeffs, s):
+        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a.hex() == b.hex()
+
+
+class TestRelativeErrorMatchesFraction:
+    """relative_error's integer ratio rounds exactly as the ``Fraction`` form."""
+
+    @given(signed_floats(2.0**-300, 2.0**300), rationals.filter(lambda x: x != 0))
+    def test_arbitrary(self, computed, exact):
+        exact = Fraction(exact)
+        assert _same_bits(relative_error(computed, exact), fraction_relative_error(computed, exact))
+
+    @given(
+        signed_floats(2.0**-1000, 2.0**1000),
+        st.integers(1, 2**10),
+        st.integers(0, 500).map(lambda k: 2 * k + 1),
+        st.integers(1040, 1100),
+    )
+    def test_subnormal(self, computed, m, d, k):
+        exact = Fraction(computed) * (1 + Fraction(m, d << k))
+        expected = fraction_relative_error(computed, exact)
+        assert expected < 2.0**-1022
+        assert _same_bits(relative_error(computed, exact), expected)
+
+    @given(
+        st.floats(2.0**1000, 2.0**1023 * (2 - 2.0**-52)),
+        st.integers(0, 2**29).map(lambda k: 2 * k + 1),
+        st.integers(24, 34),
+    )
+    def test_near_and_past_overflow(self, computed, m, j):
+        exact = Fraction(m, 2**j)
+        assert _same_bits(relative_error(computed, exact), fraction_relative_error(computed, exact))
+
+    def test_overflow_is_infinity(self):
+        assert relative_error(1e308, Fraction(1, 2**2000)) == math.inf
+        assert relative_error(-1e308, -Fraction(1, 2**2000)) == math.inf
+
+    @given(st.integers(-2000, 2000).filter(lambda j: j != 0), st.sampled_from([1, 2, 3]))
+    def test_exact_root_neighbours(self, j, k):
+        s = 0.75 + j * 2.0**-53
+        exact = fraction_eval(OCTIC, s)
+        computed = comp_de_casteljau_k(OCTIC, s, k)
+        assert _same_bits(relative_error(computed, exact), fraction_relative_error(computed, exact))
+
+    def test_spotlight_total_cancellation(self):
+        exact = fraction_eval(QUARTIC, SPOTLIGHT_S)
+        assert relative_error(comp_de_casteljau_k(QUARTIC, SPOTLIGHT_S, 2), exact) == 1.0
+        for k in (3, 4):
+            computed = comp_de_casteljau_k(QUARTIC, SPOTLIGHT_S, k)
+            assert _same_bits(
+                relative_error(computed, exact), fraction_relative_error(computed, exact)
+            )
 
 
 class TestBernsteinFromMonomial:
@@ -166,6 +298,9 @@ class TestBernsteinFromMonomial:
             bernstein_from_root_form([(0.5, 1), (0.5, 2.5)])
         with pytest.raises(ValueError, match="factor 1"):
             bernstein_from_root_form([(0.5, 1), (0.25, 0)])
+        # a bool is not an int multiplicity
+        with pytest.raises(ValueError, match="factor 0 has multiplicity"):
+            bernstein_from_root_form([(0.5, True)])
 
 
 class TestBernsteinFromRootForm:
