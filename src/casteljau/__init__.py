@@ -9,7 +9,7 @@ exact rational oracle (:mod:`.oracle`), flop-count instrumentation
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
 from .eft import split, sum_k, two_prod, two_prod_fma, two_sum
-from .evaluate import CompensationTrace, comp_de_casteljau_k, flop_count, horner
+from .evaluate import comp_de_casteljau_k, flop_count, horner, leading_terms
 from .oracle import (
     ConditionReport,
     bernstein_from_root_form,
@@ -24,7 +24,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompensationTrace",
     "ConditionReport",
     "CountingFloat",
     "FlopCounter",
@@ -36,6 +35,7 @@ __all__ = [
     "exact_eval_basis",
     "flop_count",
     "horner",
+    "leading_terms",
     "nearest_float",
     "p_tilde",
     "relative_error",

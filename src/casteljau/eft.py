@@ -20,6 +20,7 @@ flop-count instrumentation) passes through untouched.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -108,6 +109,9 @@ def sum_k(p: Sequence[float], k: int) -> float:
         abs(s - e) <= (u + 3*g(n-1)**2) * abs(e) + g(2n-2)**k * sum(abs(p))
 
     where e is the exact sum and g(m) = m*u/(1 - m*u).
+
+    A result that is not finite raises: ValueError if an entry is inf or
+    nan, else OverflowError (a partial sum left the float range).
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -120,4 +124,8 @@ def sum_k(p: Sequence[float], k: int) -> float:
     total = q[0]
     for x in q[1:]:
         total = total + x
-    return total
+    if math.isfinite(total):
+        return total
+    if not all(math.isfinite(x) for x in p):
+        raise ValueError("sum_k entries must be finite")
+    raise OverflowError("sum_k overflowed the float range")

@@ -1,20 +1,24 @@
 """Polynomial evaluation in Bernstein form by the de Casteljau recurrence.
 
-One triangle evaluator lives here, ``comp_de_casteljau_k``.  At K = 1 it
-is the plain convex-combination triangle.  For K >= 2 it runs the same
-triangle but uses error-free transformations to capture the rounding error
-of every update and propagates those errors through K - 1 further
-triangles: the rounding errors of error triangle F become the input data of
-triangle F+1, and the K leading values are combined with a K-fold
-compensated sum.  The result behaves as if computed in K times the working
-precision; K = 2 is the classic once-compensated algorithm.
+One triangle kernel lives here, ``leading_terms``.  At K = 1 it is the
+plain convex-combination triangle and returns its apex.  For K >= 2 it runs
+the same triangle but uses error-free transformations to capture the
+rounding error of every update and propagates those errors through K - 1
+further triangles: the rounding errors of error triangle F become the input
+data of triangle F+1.  It returns the K leading values, the apexes of the
+base triangle and of the K - 1 error triangles.  ``comp_de_casteljau_k``
+is their K-fold compensated sum, ``sum_k(leading_terms(p, s, k), k)``,
+which behaves as if computed in K times the working precision; K = 2 is
+the classic once-compensated algorithm.  A triangle entry (level, j) is
+the apex of the triangle of its sub-row ``p[j : j + n - level + 1]``, so
+no triangle is kept.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
 
 A polynomial is a plain sequence of coefficients.  The point s is checked
-up front; the coefficients only when the result is not finite, since a
-finite result proves them finite.
+up front; the coefficients only when a leading term is not finite, since
+finite terms prove them finite.
 
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
@@ -23,26 +27,9 @@ term last) and must not be re-associated; the error analysis depends on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .eft import sum_k, two_prod, two_sum
-
-
-@dataclass(frozen=True)
-class CompensationTrace:
-    """Full state of a K-fold compensated evaluation, for auditing.
-
-    ``base_triangle[k][j]`` is the computed value at level k (level n is the
-    input row, level 0 the single final value).  ``error_triangles[f][k][j]``
-    is error triangle F = f + 1 at the same site; row n of every error
-    triangle is identically zero.  ``r_hat + rho == 1 - s`` exactly.
-    """
-
-    base_triangle: tuple[tuple[float, ...], ...]
-    error_triangles: tuple[tuple[tuple[float, ...], ...], ...]
-    r_hat: float
-    rho: float
 
 
 def _coefficients(p: Sequence[float], name: str) -> list[float]:
@@ -81,54 +68,33 @@ def _check_result(
     raise OverflowError(f"{label} evaluation overflowed the float range{limit}")
 
 
-def comp_de_casteljau_k(
-    p: Sequence[float], s: float, k: int, capture: bool = False
-) -> Union[float, tuple[float, CompensationTrace]]:
-    """de Casteljau compensated to K-fold working precision.
+def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
+    """The K leading values of the K-fold compensated de Casteljau cascade.
 
-    ``k=1`` is the plain triangle, repeated convex combination with
-    r = fl(1 - s): 3*T_n + 1 flops for degree n (T_n the n-th triangular
-    number), and for s in [0, 1] an absolute error of at most
-    g(3n) * ptilde(s), where g(m) = m*u/(1 - m*u) and ptilde sums the
-    absolute coefficients against the basis.  ``k=2`` is the classic
-    compensated form (with the two leading terms combined by sum_k, which
-    coincides bitwise with their plain sum).  For larger k, stages 1..k-2
-    capture their own rounding errors with EFTs and hand them down the
-    cascade; the last stage accumulates without capture.  The relative
-    error stays near u until cond(p, s) reaches about u**-(k-1).
-
-    With ``capture=True`` (k >= 2 only) also returns the full triangle state
-    as a :class:`CompensationTrace`.
-
-    ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
-    non-float numbers are converted with ``float``.  Raises ValueError for a
-    non-finite coefficient or s, or a k that is not a positive int.  An
-    intermediate beyond the float range (for k >= 2 also beyond
-    |x| < 2**996, which ``split`` needs) makes the result non-finite, and
-    that is raised as OverflowError rather than returned.
+    ``k=1`` gives the apex of the plain triangle, repeated convex
+    combination with r = fl(1 - s).  For k >= 2, stages 1..k-2 capture
+    their own rounding errors with EFTs and hand them down the cascade, and
+    the last stage accumulates without capture.  The terms are the apex of
+    the base triangle, then those of the k - 1 error triangles.  Checks and
+    raises as :func:`comp_de_casteljau_k` does, under that name: a
+    non-finite term is a non-finite coefficient or an overflow.
     """
     coeffs = _coefficients(p, "comp_de_casteljau_k")
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _check_point(s)
     if k == 1:
-        if capture:
-            raise ValueError("capture requires k >= 2; k=1 has no error triangles")
         r = 1.0 - s
         row = coeffs
         for level in range(len(row) - 2, -1, -1):
             row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
-        return _check_result(row[0], coeffs, "comp_de_casteljau_k", "K=1")
+        return (_check_result(row[0], coeffs, "comp_de_casteljau_k", "K=1"),)
 
     n = len(coeffs) - 1
     r_hat, rho = two_sum(1.0, -s)
     zero = _zero_like(s)
     base = coeffs
     errs = [[zero] * (n + 1) for _ in range(k - 1)]
-    if capture:
-        base_levels = [tuple(base)]
-        err_levels = [[tuple(tri)] for tri in errs]
-
     for level in range(n - 1, -1, -1):
         new_base = []
         new_errs = [[] for _ in range(k - 1)]
@@ -171,28 +137,32 @@ def comp_de_casteljau_k(
             )
         base = new_base
         errs = new_errs
-        if capture:
-            base_levels.append(tuple(base))
-            for f in range(k - 1):
-                err_levels[f].append(tuple(errs[f]))
 
-    result = _check_result(
-        sum_k([base[0]] + [errs[f][0] for f in range(k - 1)], k),
-        coeffs,
-        "comp_de_casteljau_k",
-        f"K={k}",
-        "; split needs every product operand below 2**996",
-    )
-    if not capture:
-        return result
-    # Levels were appended n down to 0; store them indexed by level.
-    trace = CompensationTrace(
-        base_triangle=tuple(reversed(base_levels)),
-        error_triangles=tuple(tuple(reversed(lv)) for lv in err_levels),
-        r_hat=r_hat,
-        rho=rho,
-    )
-    return result, trace
+    terms = (base[0], *[tri[0] for tri in errs])
+    limit = "; split needs every product operand below 2**996"
+    for t in terms:
+        _check_result(t, coeffs, "comp_de_casteljau_k", f"K={k}", limit)
+    return terms
+
+
+def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
+    """de Casteljau compensated to K-fold working precision.
+
+    The value is ``sum_k`` of the K :func:`leading_terms`.  ``k=1`` is the
+    plain triangle, 3*T_n + 1 flops for degree n (T_n the n-th triangular
+    number; ``sum_k`` of one term costs none), with an absolute error of at
+    most g(3n) * ptilde(s) for s in [0, 1], where g(m) = m*u/(1 - m*u) and
+    ptilde sums the absolute coefficients against the basis.  ``k=2`` is
+    the classic compensated form.  The relative error stays near u until
+    cond(p, s) reaches about u**-(k-1).
+
+    ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
+    non-float numbers are converted with ``float``.  Raises ValueError for a
+    non-finite coefficient or s, or a k that is not a positive int.  An
+    intermediate beyond the float range (for k >= 2 also beyond
+    |x| < 2**996, which ``split`` needs) raises OverflowError.
+    """
+    return sum_k(leading_terms(p, s, k), k)
 
 
 def horner(coeffs: Sequence[float], s: float) -> float:

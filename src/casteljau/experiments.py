@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import count_evaluation_flops
-from .evaluate import comp_de_casteljau_k, flop_count, horner
+from .evaluate import comp_de_casteljau_k, flop_count, horner, leading_terms
 from .oracle import (
     ConditionReport,
     bernstein_from_root_form,
@@ -248,17 +248,18 @@ def _spotlight_reference() -> dict[tuple[int, int], tuple[Fraction, Fraction, Fr
 def run_table_reproduction() -> list[str]:
     """Audit every triangle entry of the once-compensated quartic run.
 
-    Captures the full trace at the spotlight point, checks each computed
-    base and error-triangle value bitwise against its closed form, and
-    checks the exact leftover residual (what the first compensation still
-    misses) against its closed form.  The headline facts asserted: the
-    final base value is 2**-57, its correction is -2**-57, their sum (the
-    K=2 result) is exactly 0, and the true value is -4t**3 + 8t**4 with
-    t = 1001u.
+    Entry (level, j) of a triangle is the apex of its sub-row's triangle,
+    so it is read from the ``leading_terms`` of ``QUARTIC[j : j + n -
+    level + 1]`` at the spotlight point.  Each base and error-triangle
+    value, and the exact leftover residual, is checked against its closed
+    form.  Asserted: the final base value is 2**-57, its correction is
+    -2**-57, their sum (the K=2 result) is exactly 0, and the true value
+    is -4t**3 + 8t**4 with t = 1001u.
     """
     s = SPOTLIGHT_S
-    result, trace = comp_de_casteljau_k(QUARTIC, s, 2, capture=True)
     n = len(QUARTIC) - 1
+    final_base, final_err1 = leading_terms(QUARTIC, s, 2)
+    result = comp_de_casteljau_k(QUARTIC, s, 2)
     reference = _spotlight_reference()
 
     lines = [
@@ -269,11 +270,10 @@ def run_table_reproduction() -> list[str]:
     failures = []
     for level in range(n - 1, -1, -1):
         for j in range(level + 1):
-            base = trace.base_triangle[level][j]
-            err1 = trace.error_triangles[0][level][j]
+            sub_row = QUARTIC[j : j + n - level + 1]
+            base, err1 = leading_terms(sub_row, s, 2)
             want_base, want_err1, want_resid = reference[(level, j)]
-            # The exact triangle entry (level, j) is p(s) on coefficients j..j+n-level.
-            exact = exact_eval(QUARTIC[j : j + n - level + 1], s)
+            exact = exact_eval(sub_row, s)
             resid = exact - Fraction(base) - Fraction(err1)
             ok_b = Fraction(base) == want_base
             ok_e = Fraction(err1) == want_err1
@@ -288,8 +288,8 @@ def run_table_reproduction() -> list[str]:
     u = Fraction(1, 2**53)
     t = 1001 * u
     checks = [
-        ("final base value is 2**-57", Fraction(trace.base_triangle[0][0]) == u / 16),
-        ("final correction is -2**-57", Fraction(trace.error_triangles[0][0][0]) == -u / 16),
+        ("final base value is 2**-57", Fraction(final_base) == u / 16),
+        ("final correction is -2**-57", Fraction(final_err1) == -u / 16),
         ("K=2 result is exactly 0", result == 0.0),
         (
             "exact value is -4t^3 + 8t^4",

@@ -28,18 +28,24 @@ def nearest_float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """x as (numerator, denominator) in lowest terms, denominator > 0.
+
+    Every oracle input passes here, so inf and nan raise one ValueError.
+    """
+    try:
+        # A float gives its ratio directly, without building a Fraction.
+        if type(x) is float:
+            return x.as_integer_ratio()
+        return Fraction(x).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"the oracle needs finite numbers, got {x!r}") from None
+
+
 def _coefficients(p: Sequence[RationalLike]) -> list[Fraction]:
     if len(p) == 0:
         raise ValueError("polynomial needs at least one coefficient")
-    return [Fraction(c) for c in p]
-
-
-def _ratio(x: RationalLike) -> tuple[int, int]:
-    """x as (numerator, denominator) in lowest terms, denominator > 0."""
-    # A float gives its ratio directly, without building a Fraction.
-    if type(x) is float:
-        return x.as_integer_ratio()
-    return Fraction(x).as_integer_ratio()
+    return [Fraction(*_ratio(c)) for c in p]
 
 
 def _integer_row(p: Sequence[RationalLike]) -> tuple[list[int], int]:
@@ -100,7 +106,7 @@ def exact_eval_basis(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     """p(s) by direct basis summation; an independent check of exact_eval."""
     coeffs = _coefficients(p)
     n = len(coeffs) - 1
-    sf = Fraction(s)
+    sf = Fraction(*_ratio(s))
     r = 1 - sf
     return sum(
         coeffs[j] * math.comb(n, j) * r ** (n - j) * sf**j for j in range(n + 1)

@@ -14,6 +14,7 @@ from casteljau import (
     ConditionReport,
     comp_de_casteljau_k,
     exact_eval,
+    leading_terms,
     p_tilde,
     two_prod,
     two_sum,
@@ -141,7 +142,7 @@ def check_accuracy_bounds(coeffs, s) -> list[str]:
       + gamma(4)**3 * sum|leading terms| / |p(s)|
       + [3n(3n^2+36n+61)/2] u^3 * cond,
       where the middle terms bound the final three-term compensated sum
-      using the actual captured leading terms.
+      using the actual leading terms.
 
     The relative checks are skipped at exact roots.
     """
@@ -163,10 +164,8 @@ def check_accuracy_bounds(coeffs, s) -> list[str]:
     if rel2 > U + 2 * gamma(3 * n) ** 2 * cond:
         out.append(f"compensated bound violated at n={n}, s={s!r}")
 
-    value3, trace = comp_de_casteljau_k(coeffs, s, 3, capture=True)
-    leading = [trace.base_triangle[0][0]] + [
-        tri[0][0] for tri in trace.error_triangles
-    ]
+    value3 = comp_de_casteljau_k(coeffs, s, 3)
+    leading = leading_terms(coeffs, s, 3)
     rel3 = abs(Fraction(value3) - exact) / abs(exact)
     sum_abs = sum(abs(Fraction(v)) for v in leading)
     bound3 = (

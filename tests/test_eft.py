@@ -1,5 +1,6 @@
 """Error-free transformation kernels: exactness is checked in rationals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,28 @@ class TestSumK:
                 sum_k([1.0], k)
         with pytest.raises(ValueError):
             sum_k([], 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_overflow_raises(self, k):
+        # Finite entries whose sum leaves the float range: k = 1 would give
+        # inf and k >= 2 nan (two_sum's error of inf is nan); both raise.
+        for p in ([1e308, 1e308], [-1e308, 1.0, -1e308], [1e308, 1e308, -1e308]):
+            with pytest.raises(OverflowError, match="^sum_k overflowed the float range$"):
+                sum_k(p, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_entry_rejected(self, k, bad):
+        for p in ([bad], [1.0, bad], [bad, 1.0, 2.0], [bad, -bad]):
+            with pytest.raises(ValueError, match="^sum_k entries must be finite$"):
+                sum_k(p, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_near_the_float_range_stays_finite(self, k):
+        # Partial sums that reach the largest float but stay inside the range.
+        big = 1.7976931348623157e308
+        assert sum_k([big, -big, 1.0], k) == 1.0
+        assert sum_k([big / 2, big / 2, -big], k) == 0.0
 
     @given(st.lists(eft_floats, min_size=2, max_size=10), st.integers(1, 5))
     def test_error_bound(self, p, k):

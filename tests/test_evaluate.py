@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 from casteljau import (
     comp_de_casteljau_k,
     count_evaluation_flops,
+    evaluate,
     exact_eval,
     flop_count,
     horner,
+    leading_terms,
+    sum_k,
     two_prod,
     two_sum,
 )
@@ -27,6 +31,18 @@ SPOTLIGHT = 0.5 + 1001 * U_FLOAT
 
 coeff_lists = st.lists(signed_floats(2.0**-50, 2.0**50), min_size=1, max_size=10)
 small_floats = signed_floats(2.0**-60, 2.0**60)
+
+
+def sub_rows(coeffs):
+    """(level, j, sub-row) for every triangle entry of ``coeffs``.
+
+    Entry (level, j) of each triangle of the cascade is the apex of the
+    triangle of ``coeffs[j : j + n - level + 1]``.
+    """
+    n = len(coeffs) - 1
+    for level in range(n, -1, -1):
+        for j in range(level + 1):
+            yield level, j, coeffs[j : j + n - level + 1]
 
 
 class TestPolyTypes:
@@ -69,9 +85,9 @@ class TestPolyTypes:
         # where the basis weights it by zero.
         coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = bad
         calls = [lambda k=k: comp_de_casteljau_k(coeffs, s, k) for k in range(1, 6)]
+        calls += [lambda k=k: leading_terms(coeffs, s, k) for k in range(1, 6)]
         calls += [
             lambda: horner(coeffs, s),
-            lambda: comp_de_casteljau_k(coeffs, s, 2, capture=True),
             lambda: count_evaluation_flops(coeffs, s, 3),
         ]
         for call in calls:
@@ -117,17 +133,18 @@ class TestCompDeCasteljau:
 
 
 class TestLocalError:
-    """The local error accumulation inside the cascade, seen through traces."""
+    """The local error accumulation inside the cascade, seen through the
+    leading terms of every sub-row."""
 
     def test_all_zero_terms(self):
         # Small integers at s = 1/2: every product and sum is exact, so every
-        # local error term vanishes and so does every error triangle.
+        # local error term vanishes and so does every error triangle entry.
         p = [1.0, -2.0, 3.0, 4.0, -5.0]
         for k in (2, 3, 5):
-            value, trace = comp_de_casteljau_k(p, 0.5, k, capture=True)
+            value = comp_de_casteljau_k(p, 0.5, k)
             assert value == comp_de_casteljau_k(p, 0.5, 1) == float(exact_eval(p, 0.5))
-            for tri in trace.error_triangles:
-                assert all(x == 0.0 for level in tri for x in level)
+            for _, _, sub in sub_rows(p):
+                assert leading_terms(sub, 0.5, k)[1:] == (0.0,) * (k - 1)
 
     @given(
         st.lists(small_floats, min_size=2, max_size=8),
@@ -137,22 +154,35 @@ class TestLocalError:
     def test_eft_identity(self, coeffs, s, k):
         # replay_cascade asserts the exact identity of every local error
         # accumulation; the library must produce the same leading terms.
-        terms = replay_cascade(coeffs, s, k)
-        _, trace = comp_de_casteljau_k(coeffs, s, k, capture=True)
-        assert terms == [trace.base_triangle[0][0]] + [
-            tri[0][0] for tri in trace.error_triangles
-        ]
+        base_tri, err_tris = replay_cascade(coeffs, s, k)
+        assert leading_terms(coeffs, s, k) == entry(base_tri, err_tris, 0, 0)
+
+    @given(
+        st.lists(small_floats, min_size=1, max_size=7),
+        st.floats(2.0**-30, 1.0),
+        st.integers(2, 5),
+    )
+    def test_sub_row_apex_is_triangle_entry(self, coeffs, s, k):
+        # No triangle is kept: entry (level, j) of every triangle of the
+        # cascade is the apex of the cascade run on its sub-row.
+        base_tri, err_tris = replay_cascade(coeffs, s, k)
+        for level, j, sub in sub_rows(coeffs):
+            assert leading_terms(sub, s, k) == entry(base_tri, err_tris, level, j)
 
     @given(coeff_lists, st.floats(0.0, 1.0), st.integers(2, 5))
     def test_plain_matches_eft_primary_output(self, coeffs, s, k):
         # The last stage sums its local error without capturing residuals.
         # Its values are the ones the capturing chain of a (k + 1)-fold run
-        # produces for the same stage, so a K-fold trace is a prefix of the
-        # (K + 1)-fold one.
-        _, short = comp_de_casteljau_k(coeffs, s, k, capture=True)
-        _, long = comp_de_casteljau_k(coeffs, s, k + 1, capture=True)
-        assert short.base_triangle == long.base_triangle
-        assert short.error_triangles == long.error_triangles[: k - 1]
+        # produces for the same stage, so on every sub-row, hence at every
+        # triangle entry, the K-fold terms are a prefix of the (K + 1)-fold
+        # ones.
+        for _, _, sub in sub_rows(coeffs):
+            assert leading_terms(sub, s, k) == leading_terms(sub, s, k + 1)[:k]
+
+
+def entry(base_tri, err_tris, level, j):
+    """The K terms at entry (level, j) of the triangles of replay_cascade."""
+    return (base_tri[level][j], *(tri[level][j] for tri in err_tris))
 
 
 def replay_cascade(coeffs, s, k):
@@ -161,13 +191,18 @@ def replay_cascade(coeffs, s, k):
     Runs the same primitive calls the library makes, but asserts the exact
     filtration identity at every site and stage: carried error plus the
     convex combination of the stage values equals the new value plus all
-    fresh residuals, as rationals.  Returns the K leading terms.
+    fresh residuals, as rationals.  Returns the full triangles, indexed by
+    level (level n is the input row, level 0 the apex): the base triangle
+    ``base_tri[level][j]`` and the k - 1 error triangles
+    ``err_tris[f][level][j]``.
     """
     n = len(coeffs) - 1
     r_hat, rho = two_sum(1.0, -s)
     assert Fraction(r_hat) + Fraction(rho) == 1 - Fraction(s)
     base = list(coeffs)
     errs = [[0.0] * (n + 1) for _ in range(k - 1)]
+    base_tri = [base]
+    err_tris = [[tri] for tri in errs]
     for level in range(n - 1, -1, -1):
         new_base = []
         new_errs = [[] for _ in range(k - 1)]
@@ -232,7 +267,10 @@ def replay_cascade(coeffs, s, k):
             )
         base = new_base
         errs = new_errs
-    return [base[0]] + [errs[f][0] for f in range(k - 1)]
+        base_tri.insert(0, base)
+        for f in range(k - 1):
+            err_tris[f].insert(0, errs[f])
+    return base_tri, err_tris
 
 
 class TestCompDeCasteljauK:
@@ -241,10 +279,6 @@ class TestCompDeCasteljauK:
         for k in (0, -1, 2.0, "2", True, False):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 comp_de_casteljau_k(CUBIC, 0.5, k)
-
-    def test_capture_requires_k2(self):
-        with pytest.raises(ValueError):
-            comp_de_casteljau_k(CUBIC, 0.5, 1, capture=True)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -307,26 +341,18 @@ class TestCompDeCasteljauK:
         assert abs(Fraction(value) - exact) / abs(exact) < Fraction(1, 10**9)
 
     def test_s_zero_any_k_bit_exact_with_zero_triangles(self):
+        # At s = 0 base entry (level, j) is b_j and every error entry is 0.
         for k in (2, 3, 5):
-            value, trace = comp_de_casteljau_k(QUARTIC, 0.0, k, capture=True)
-            assert value == QUARTIC[0]
-            for tri in trace.error_triangles:
-                assert all(x == 0.0 for level in tri for x in level)
+            assert comp_de_casteljau_k(QUARTIC, 0.0, k) == QUARTIC[0]
+            for _, _, sub in sub_rows(QUARTIC):
+                assert leading_terms(sub, 0.0, k) == (sub[0],) + (0.0,) * (k - 1)
 
-    def test_trace_shapes_and_invariants(self):
-        s = 0.7
-        value, trace = comp_de_casteljau_k(QUARTIC, s, 3, capture=True)
-        n = len(QUARTIC) - 1
-        assert len(trace.base_triangle) == n + 1
-        assert len(trace.error_triangles) == 2
-        for level in range(n + 1):
-            assert len(trace.base_triangle[level]) == level + 1
-            for tri in trace.error_triangles:
-                assert len(tri[level]) == level + 1
-        assert trace.base_triangle[n] == QUARTIC
-        for tri in trace.error_triangles:
-            assert all(x == 0.0 for x in tri[n])
-        assert Fraction(trace.r_hat) + Fraction(trace.rho) == 1 - Fraction(s)
+    def test_value_is_sum_k_of_the_leading_terms(self):
+        for k in range(1, 9):
+            terms = leading_terms(QUARTIC, 0.7, k)
+            assert type(terms) is tuple and len(terms) == k
+            assert all(type(t) is float for t in terms)
+            assert comp_de_casteljau_k(QUARTIC, 0.7, k) == sum_k(terms, k)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_cascade_matches_shadow_replay(self, k):
@@ -335,11 +361,8 @@ class TestCompDeCasteljauK:
             n = rng.randint(1, 7)
             coeffs = [rng.uniform(-2, 2) for _ in range(n + 1)]
             s = rng.random()
-            terms = replay_cascade(coeffs, s, k)
-            value, trace = comp_de_casteljau_k(coeffs, s, k, capture=True)
-            assert terms[0] == trace.base_triangle[0][0]
-            for f in range(k - 1):
-                assert terms[f + 1] == trace.error_triangles[f][0][0]
+            base_tri, err_tris = replay_cascade(coeffs, s, k)
+            assert leading_terms(coeffs, s, k) == entry(base_tri, err_tris, 0, 0)
 
     def test_k2_consistency_with_comp(self):
         rng = random.Random(2024)
@@ -358,6 +381,37 @@ class TestCompDeCasteljauK:
             coeffs = [rng.uniform(-1, 1) * 10 ** rng.randint(-3, 3) for _ in range(n + 1)]
             s = rng.random()
             assert check_accuracy_bounds(coeffs, s) == []
+
+
+class TestEftCallSites:
+    """perfbench traces the EFT layer by rebinding ``casteljau.evaluate``'s
+    module globals ``two_sum``, ``two_prod`` and ``sum_k``; a local alias in
+    the kernel would hide its calls from the tracer."""
+
+    def test_kernel_calls_the_module_globals(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name, fn in (("two_sum", two_sum), ("two_prod", two_prod), ("sum_k", sum_k)):
+            monkeypatch.setattr(evaluate, name, counted(name, fn))
+        for n in range(9):
+            t_n = n * (n + 1) // 2
+            coeffs = [(-1.0) ** j * (1.0 + j / 7) for j in range(n + 1)]
+            for k in range(1, 7):
+                calls.clear()
+                comp_de_casteljau_k(coeffs, 0.3, k)
+                assert calls["sum_k"] == 1
+                if k == 1:
+                    assert calls["two_sum"] == calls["two_prod"] == 0
+                    continue
+                assert calls["two_prod"] == t_n * (3 * k - 4), (n, k)
+                assert calls["two_sum"] == 1 + t_n * (1 + 5 * (k - 2) * (k - 1) // 2), (n, k)
 
 
 class TestHorner:

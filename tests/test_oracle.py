@@ -82,6 +82,29 @@ class TestPTilde:
             p_tilde([1.0, 2.0], Fraction(10**400))
 
 
+class TestNonFiniteInputs:
+    """inf, -inf and nan, as a coefficient or as s, raise one ValueError."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize(
+        "fn",
+        [exact_eval, exact_eval_basis, p_tilde, condition_number],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_polynomial_functions(self, fn, bad):
+        message = f"^the oracle needs finite numbers, got {bad!r}$"
+        for p, s in (([1.0, bad], 0.5), ([bad], 0.5), ([bad, 2.0, 3.0], 0.0), ([1.0, 2.0], bad)):
+            with pytest.raises(ValueError, match=message):
+                fn(p, s)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_relative_error(self, bad):
+        message = f"^the oracle needs finite numbers, got {bad!r}$"
+        for computed, exact in ((bad, Fraction(1)), (1.0, bad)):
+            with pytest.raises(ValueError, match=message):
+                relative_error(computed, exact)
+
+
 class TestConditionNumber:
     def test_single_coefficient_is_perfectly_conditioned(self):
         report = condition_number([5.0], 0.3)
