@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,18 +24,6 @@ _RUNNERS = {
     "table1": run_table_reproduction,
     "cubic-compare": run_cubic_comparison,
     "flops": run_flop_report,
-}
-
-# Help text, and the runner parameters each experiment takes as flags.
-_EXPERIMENTS = {
-    "root-neighborhood": ("sweep the octic across its multiple root at 3/4", ("points",)),
-    "condition-sweep": (
-        "walk the octic's condition number up geometrically",
-        ("k_list", "points"),
-    ),
-    "table1": ("audit the once-compensated quartic triangle entry by entry", ()),
-    "cubic-compare": ("Horner vs de Casteljau, and K=2 vs K=3 near 1/2", ("points",)),
-    "flops": ("closed-form flop counts vs instrumented operation tallies", ("k_list",)),
 }
 
 
@@ -68,6 +57,13 @@ _FLAGS = {
     "points": ("--points", _parse_points, "N", "number of sweep points per window, at least 2"),
 }
 
+# Help line (docstring summary) and flag parameters of each runner, read at
+# import: perfbench's tracer later swaps runners for (*args, **kwargs) wrappers.
+_SUBCOMMANDS = {
+    name: ((runner.__doc__ or "").partition("\n")[0], inspect.signature(runner).parameters)
+    for name, runner in _RUNNERS.items()
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (description, params) in _EXPERIMENTS.items():
+    for name, (description, params) in _SUBCOMMANDS.items():
         # An omitted flag passes nothing, so the runner's default applies.
         p = sub.add_parser(name, help=description, argument_default=argparse.SUPPRESS)
         p.add_argument("--out", type=Path, help="output file path")
@@ -94,12 +90,17 @@ def _render(result: Sequence) -> str:
     return render_csv(result)
 
 
-def _write(text: str, out: Optional[Path]) -> None:
+def _write(text: str, out: Optional[Path]) -> int:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -116,9 +117,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(_render(result), out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return _write(_render(result), out)

@@ -115,7 +115,7 @@ def sum_k(p: Sequence[float], k: int) -> float:
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not p:
+    if len(p) == 0:
         raise ValueError("sum_k requires a nonempty vector")
     q = list(p)
     for _ in range(k - 1):

@@ -32,10 +32,16 @@ from typing import Sequence
 from .eft import sum_k, two_prod, two_sum
 
 
+def _number(c: object, name: str) -> float:
+    if isinstance(c, (str, bytes, bytearray)):
+        raise TypeError(f"{name} coefficients must be numbers, got {c!r}")
+    return float(c)
+
+
 def _coefficients(p: Sequence[float], name: str) -> list[float]:
-    # Float subclasses such as CountingFloat pass unchanged; ints and
-    # Fractions become the nearest float.
-    row = [c if isinstance(c, float) else float(c) for c in p]
+    # Float subclasses such as CountingFloat pass unchanged; other numbers
+    # become the nearest float, and text, which float() would parse, is refused.
+    row = [c if isinstance(c, float) else _number(c, name) for c in p]
     if not row:
         raise ValueError(f"{name} needs at least one coefficient")
     return row
@@ -157,10 +163,11 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     cond(p, s) reaches about u**-(k-1).
 
     ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
-    non-float numbers are converted with ``float``.  Raises ValueError for a
-    non-finite coefficient or s, or a k that is not a positive int.  An
-    intermediate beyond the float range (for k >= 2 also beyond
-    |x| < 2**996, which ``split`` needs) raises OverflowError.
+    other numbers become floats, a string raises TypeError.  Raises
+    ValueError for a non-finite coefficient or s, or a k that is not a
+    positive int.  An intermediate beyond the float range (for k >= 2 also
+    beyond |x| < 2**996, which ``split`` needs) raises OverflowError.  An s
+    outside [0, 1] is extrapolation: no error bound, and the oracle refuses it.
     """
     return sum_k(leading_terms(p, s, k), k)
 

@@ -92,11 +92,11 @@ class SweepRecord:
         )
 
 
-def _decimal_string(x: Fraction, digits: int = 40) -> str:
+def _decimal_string(x: Fraction) -> str:
     if x == 0:
         return "0"
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 40
         d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
     return str(d)
 
@@ -110,8 +110,12 @@ def _record(s: float, method: str, k: int, value: float, report: ConditionReport
 _METHODS = {1: "decasteljau", 2: "comp"}
 
 
-def _method_for(k: int) -> str:
-    return _METHODS.get(k, "compK")
+def _rows(p: Sequence, s: float, ks: Sequence[int], report: ConditionReport) -> list[SweepRecord]:
+    # comp_de_casteljau_k stays a module global: perfbench's tracer wraps it.
+    return [
+        _record(s, _METHODS.get(k, "compK"), k, comp_de_casteljau_k(p, s, k), report)
+        for k in ks
+    ]
 
 
 def _sorted(records: list[SweepRecord]) -> list[SweepRecord]:
@@ -142,10 +146,7 @@ def run_root_neighborhood(points: int = 401) -> list[SweepRecord]:
     records = []
     for j in _centered_offsets(points):
         s = 0.75 + (j * 5e-8)
-        report = condition_number(OCTIC, s)
-        for k in (1, 2, 3):
-            value = comp_de_casteljau_k(OCTIC, s, k)
-            records.append(_record(s, _method_for(k), k, value, report))
+        records += _rows(OCTIC, s, (1, 2, 3), condition_number(OCTIC, s))
     return _sorted(records)
 
 
@@ -188,14 +189,12 @@ def run_condition_sweep(
                 f"{float(report.cond)} <= {float(last_cond)}"
             )
         last_s, last_cond = s, report.cond
-        for k in k_list:
-            value = comp_de_casteljau_k(OCTIC, s, k)
-            records.append(_record(s, _method_for(k), k, value, report))
+        records += _rows(OCTIC, s, k_list, report)
     return _sorted(records)
 
 
 def run_cubic_comparison(points: int = 401) -> list[SweepRecord]:
-    """Two windows around 1/2: Horner vs plain, and compensated variants.
+    """Compare Horner with de Casteljau, and K=2 with K=3, near 1/2.
 
     Window one spans |s - 1/2| <= 2e-5 and pits Horner on the cubic's
     monomial form against the plain triangle on its Bernstein form.  Window
@@ -209,19 +208,12 @@ def run_cubic_comparison(points: int = 401) -> list[SweepRecord]:
         s = 0.5 + (j * 1e-7)
         report = condition_number(CUBIC_BERNSTEIN, s)
         records.append(_record(s, "horner", 1, horner(CUBIC_MONOMIAL, s), report))
-        value = comp_de_casteljau_k(CUBIC_BERNSTEIN, s, 1)
-        records.append(_record(s, _method_for(1), 1, value, report))
+        records += _rows(CUBIC_BERNSTEIN, s, (1,), report)
     for j in _centered_offsets(points):
         s = 0.5 + (j * 7.5e-14)
-        report = condition_number(QUARTIC, s)
-        for k in (2, 3):
-            value = comp_de_casteljau_k(QUARTIC, s, k)
-            records.append(_record(s, _method_for(k), k, value, report))
+        records += _rows(QUARTIC, s, (2, 3), condition_number(QUARTIC, s))
     s = SPOTLIGHT_S
-    report = condition_number(QUARTIC, s)
-    for k in (2, 3, 4):
-        value = comp_de_casteljau_k(QUARTIC, s, k)
-        records.append(_record(s, _method_for(k), k, value, report))
+    records += _rows(QUARTIC, s, (2, 3, 4), condition_number(QUARTIC, s))
     return _sorted(records)
 
 

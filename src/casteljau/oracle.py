@@ -31,12 +31,15 @@ def nearest_float(x: Fraction) -> float:
 def _ratio(x: RationalLike) -> tuple[int, int]:
     """x as (numerator, denominator) in lowest terms, denominator > 0.
 
-    Every oracle input passes here, so inf and nan raise one ValueError.
+    Every oracle input passes here, so inf and nan raise one ValueError,
+    and a string, which ``Fraction`` would parse, one TypeError.
     """
     try:
         # A float gives its ratio directly, without building a Fraction.
         if type(x) is float:
             return x.as_integer_ratio()
+        if isinstance(x, (str, bytes, bytearray)):
+            raise TypeError(f"the oracle needs numbers, got {x!r}")
         return Fraction(x).as_integer_ratio()
     except (OverflowError, ValueError):
         raise ValueError(f"the oracle needs finite numbers, got {x!r}") from None
@@ -183,14 +186,14 @@ def bernstein_from_root_form(
     a factor whose multiplicity is not a positive int, and for a Bernstein
     coefficient that is not exactly representable in binary64.
     """
-    monomial = [Fraction(scale)]
+    monomial = [Fraction(*_ratio(scale))]
     for index, (root, multiplicity) in enumerate(linear_factors):
         if type(multiplicity) is not int or multiplicity < 1:
             raise ValueError(
                 f"factor {index} has multiplicity {multiplicity!r}; "
                 "it must be a positive integer"
             )
-        rf = Fraction(root)
+        rf = Fraction(*_ratio(root))
         for _ in range(multiplicity):
             shifted = [-rf * c for c in monomial] + [Fraction(0)]
             for i in range(1, len(monomial) + 1):

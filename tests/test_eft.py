@@ -156,6 +156,12 @@ class TestSumK:
         with pytest.raises(ValueError):
             sum_k([], 2)
 
+    def test_non_sequence_rejected(self):
+        # sum_k reads p twice; a spent iterator would hide a nan or look empty.
+        for p in (iter([math.nan, 1.0]), iter([]), (x for x in [1.0, 2.0])):
+            with pytest.raises(TypeError):
+                sum_k(p, 2)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_overflow_raises(self, k):
         # Finite entries whose sum leaves the float range: k = 1 would give

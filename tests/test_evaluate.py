@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -66,6 +67,19 @@ class TestPolyTypes:
             comp_de_casteljau_k([], 0.5, 1)
         with pytest.raises(ValueError):
             horner([], 1.0)
+
+    @pytest.mark.parametrize("bad", ["1", b"1", bytearray(b"1")], ids=repr)
+    def test_string_coefficient_rejected(self, bad):
+        # float() would parse them; a coefficient must be a number.
+        got = re.escape(f"coefficients must be numbers, got {bad!r}")
+        for k in (1, 2, 3):
+            for call in (comp_de_casteljau_k, leading_terms):
+                with pytest.raises(TypeError, match=f"^comp_de_casteljau_k {got}$"):
+                    call([2.0, bad], 0.5, k)
+        with pytest.raises(TypeError, match=f"^horner {got}$"):
+            horner([bad, 2], 0.5)
+        with pytest.raises(TypeError):
+            comp_de_casteljau_k([1.0, 2.0], bad, 2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="^comp_de_casteljau_k coefficients must be finite$"):

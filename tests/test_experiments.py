@@ -28,6 +28,7 @@ from casteljau.experiments import (
 )
 
 from conftest import U, cond_multiplier
+from test_readme import _subcommand_flags
 
 TWO_U = 2 * U
 
@@ -211,6 +212,10 @@ class TestFlopReport:
         assert len(cells) == 7
 
 
+def _failing_runner():
+    raise CheckFailed("x", ["line"])
+
+
 class TestCli:
     def test_sweep_to_file_and_stdout_match(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -263,10 +268,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_failure_report_is_written(self, tmp_path, capsys, monkeypatch):
-        def failing():
-            raise CheckFailed("x", ["line"])
-
-        monkeypatch.setitem(cli._RUNNERS, "table1", failing)
+        monkeypatch.setitem(cli._RUNNERS, "table1", _failing_runner)
         out = tmp_path / "report.txt"
         assert main(["table1", "--out", str(out)]) == 1
         assert out.read_text(encoding="utf-8") == "line\n"
@@ -275,6 +277,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "line\n"
         assert "regression check failed: x" in captured.err
+
+    @pytest.mark.parametrize("target", ["", "missing/out"], ids=["directory", "missing_parent"])
+    def test_unwritable_out_is_usage_error(self, target, tmp_path, capsys, monkeypatch):
+        out = tmp_path / target
+        assert main(["flops", "--k", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        # A failed check keeps its exit status 1 and reports both failures.
+        monkeypatch.setitem(cli._RUNNERS, "table1", _failing_runner)
+        assert main(["table1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err
+        assert "regression check failed: x" in err
+
+    def test_flags_survive_wrapped_runners(self, tmp_path, monkeypatch):
+        # perfbench's tracer swaps every runner for a (*args, **kwargs)
+        # wrapper after import; the parser must still offer the same flags.
+        argv = ["condition-sweep", "--points", "3", "--k", "2", "--out"]
+        plain = tmp_path / "plain.csv"
+        assert main(argv + [str(plain)]) == 0
+        flags = _subcommand_flags()
+        for name, runner in list(cli._RUNNERS.items()):
+            monkeypatch.setitem(
+                cli._RUNNERS, name, lambda *args, _run=runner, **kwargs: _run(*args, **kwargs)
+            )
+        wrapped = tmp_path / "wrapped.csv"
+        assert main(argv + [str(wrapped)]) == 0
+        assert wrapped.read_bytes() == plain.read_bytes()
+        assert _subcommand_flags() == flags
 
     @pytest.mark.parametrize("experiment", sorted(OUTPUT_DIGESTS))
     def test_output_bytes_match_recorded_digest(self, experiment, tmp_path, capsys):

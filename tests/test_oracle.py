@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,32 @@ class TestNonFiniteInputs:
         for computed, exact in ((bad, Fraction(1)), (1.0, bad)):
             with pytest.raises(ValueError, match=message):
                 relative_error(computed, exact)
+
+
+class TestStringInputs:
+    """A string, which ``Fraction`` would parse, raises one TypeError."""
+
+    @pytest.mark.parametrize("bad", ["1/3", b"1"], ids=repr)
+    @pytest.mark.parametrize(
+        "fn",
+        [exact_eval, exact_eval_basis, p_tilde, condition_number],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_polynomial_functions(self, fn, bad):
+        message = "^" + re.escape(f"the oracle needs numbers, got {bad!r}") + "$"
+        for p, s in (([bad, 2.0], 0.5), ([1.0, 2.0], bad)):
+            with pytest.raises(TypeError, match=message):
+                fn(p, s)
+
+    def test_relative_error_and_root_form(self):
+        for call in (
+            lambda: relative_error("1", Fraction(1)),
+            lambda: relative_error(1.0, "1"),
+            lambda: bernstein_from_root_form([("1/2", 1)]),
+            lambda: bernstein_from_root_form([(0.5, 1)], scale="2"),
+        ):
+            with pytest.raises(TypeError, match="^the oracle needs numbers, got '"):
+                call()
 
 
 class TestConditionNumber:
@@ -339,6 +366,11 @@ class TestBernsteinFromRootForm:
 
     def test_empty_product(self):
         assert bernstein_from_root_form([]) == (1.0,)
+
+    def test_nonfinite_root_or_scale_rejected(self):
+        for factors, scale in (([(math.inf, 1)], 1), ([(0.5, 1)], math.nan)):
+            with pytest.raises(ValueError, match="^the oracle needs finite numbers"):
+                bernstein_from_root_form(factors, scale)
 
     def test_agrees_with_monomial_route(self):
         # (s - 1/4)^2 (s - 1) = s^3 - 3/2 s^2 + 9/16 s - 1/16
