@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .evaluate import comp_de_casteljau_k
+from .evaluate import _check_point, _coefficients, comp_de_casteljau_k
 
 
 @dataclass
@@ -46,7 +46,11 @@ def _counted(base_op, kind: str):
             return NotImplemented
         counter = self.counter
         setattr(counter, kind, getattr(counter, kind) + 1)
-        return CountingFloat(result, counter)
+        # float.__new__ directly skips CountingFloat.__new__'s Python frame,
+        # a large share of each counted operation's cost.
+        out = float.__new__(CountingFloat, result)
+        out.counter = counter
+        return out
 
     return method
 
@@ -91,7 +95,10 @@ def count_evaluation_flops(p: Sequence[float], s: float, k: int) -> tuple[float,
     Returns the (plain float) result and the operation tally.  The value is
     bitwise identical to the uninstrumented evaluation.
     """
+    # Checked before wrapping: CountingFloat, like float(), would parse text.
+    coeffs = _coefficients(p, "comp_de_casteljau_k")
+    _check_point(s)
     counter = FlopCounter()
-    wrapped = [CountingFloat(c, counter) for c in p]
+    wrapped = [CountingFloat(c, counter) for c in coeffs]
     value = comp_de_casteljau_k(wrapped, CountingFloat(s, counter), k)
     return float(value), counter

@@ -56,11 +56,16 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 
     ``result + error == a * b`` exactly when no overflow occurs and no
     partial product underflows.  With underflow the error term is only
-    approximate; this is documented, not trapped.
+    approximate; this is documented, not trapped.  Both operands are split
+    as :func:`split` does, inline, in the same order.
     """
     result = a * b
-    ah, al = split(a)
-    bh, bl = split(b)
+    z = a * _SPLITTER
+    ah = z - (z - a)
+    al = a - ah
+    z = b * _SPLITTER
+    bh = z - (z - b)
+    bl = b - bh
     error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
     return result, error
 

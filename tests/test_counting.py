@@ -1,5 +1,7 @@
 """Instrumented flop counting: values stay bit-identical, tallies add up."""
 
+import re
+
 import pytest
 
 from casteljau import (
@@ -44,6 +46,30 @@ class TestCountingFloat:
         assert out == -0.3
         assert c.total == 0
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x + 2.0,
+            lambda x: 2.0 + x,
+            lambda x: x - 2.0,
+            lambda x: 2.0 - x,
+            lambda x: x * 2.0,
+            lambda x: 2.0 * x,
+            lambda x: x / 2.0,
+            lambda x: 2.0 / x,
+            lambda x: -x,
+            lambda x: +x,
+            lambda x: abs(x),
+        ],
+    )
+    def test_every_result_holds_the_operand_counter(self, op):
+        c = FlopCounter()
+        x = wrap(-0.75, c)
+        out = op(x)
+        assert type(out) is CountingFloat
+        assert out.counter is c
+        assert out == op(-0.75)
+
     def test_zero_like(self):
         c = FlopCounter()
         z = wrap(5.0, c).zero_like()
@@ -83,6 +109,15 @@ class TestCountedEvaluation:
     def test_plain_triangle_count(self):
         _, counter = count_evaluation_flops([1.0, 2.0, 4.0], 0.25, 1)
         assert counter.total == flop_count(2, 1) == 10
+
+    @pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")])
+    def test_text_refused_like_the_evaluator(self, text):
+        # CountingFloat, like float(), would parse the text.
+        for p, s in (([text, 2.0], 0.5), ([1.0, 2.0], text)):
+            with pytest.raises(TypeError) as expected:
+                comp_de_casteljau_k(p, s, 2)
+            with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+                count_evaluation_flops(p, s, 2)
 
     def test_no_divisions_anywhere(self):
         for k in (1, 2, 5):

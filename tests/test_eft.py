@@ -94,6 +94,14 @@ class TestTwoProd:
         result, error = two_prod(a, b)
         assert abs(Fraction(error)) <= U * abs(Fraction(result))
 
+    @given(eft_floats, eft_floats)
+    def test_inline_splits_match_split(self, a, b):
+        result = a * b
+        ah, al = split(a)
+        bh, bl = split(b)
+        error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
+        assert [x.hex() for x in two_prod(a, b)] == [result.hex(), error.hex()]
+
 
 class TestTwoProdFma:
     def test_trivial_values(self):

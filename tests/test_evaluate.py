@@ -399,8 +399,9 @@ class TestCompDeCasteljauK:
 
 class TestEftCallSites:
     """perfbench traces the EFT layer by rebinding ``casteljau.evaluate``'s
-    module globals ``two_sum``, ``two_prod`` and ``sum_k``; a local alias in
-    the kernel would hide its calls from the tracer."""
+    module globals ``two_sum``, ``two_prod`` and ``sum_k``.  A module-level
+    alias, bound once at import, would hide the kernel's calls from the
+    tracer; a local bound from the globals at each call does not."""
 
     def test_kernel_calls_the_module_globals(self, monkeypatch):
         calls = Counter()

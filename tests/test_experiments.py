@@ -5,13 +5,21 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import casteljau
-from casteljau import cli, condition_number, exact_eval, experiments
+from casteljau import (
+    cli,
+    comp_de_casteljau_k,
+    condition_number,
+    exact_eval,
+    experiments,
+    leading_terms,
+)
 from casteljau.cli import main
 from casteljau.experiments import (
     CSV_HEADER,
@@ -184,6 +192,31 @@ class TestCubicComparison:
         for method in ("horner", "decasteljau"):
             worst = max(r.rel_err for r in cubic_records if r.method == method and r.cond < 1e17)
             assert worst > 1e5 * float(U), (method, worst)
+
+
+class TestOneCascadePerPoint:
+    @pytest.mark.parametrize(
+        "runner, cascades",
+        [(run_root_neighborhood, 3), (run_condition_sweep, 3), (run_cubic_comparison, 7)],
+    )
+    def test_one_cascade_per_polynomial_and_point(self, runner, cascades, monkeypatch):
+        # cubic-compare: three points in each window, plus the spotlight.
+        calls = Counter()
+
+        def counted(p, s, k):
+            calls[tuple(p), s] += 1
+            return leading_terms(p, s, k)
+
+        monkeypatch.setattr(experiments, "leading_terms", counted)
+        runner(points=3)
+        assert len(calls) == cascades
+        assert set(calls.values()) == {1}
+
+    def test_every_k_equals_its_own_evaluation(self):
+        records = run_condition_sweep(k_list=(1, 2, 3, 4, 5, 6, 7, 8), points=4)
+        assert len(records) == 32
+        for r in records:
+            assert r.value.hex() == comp_de_casteljau_k(OCTIC, r.s, r.k).hex(), (r.s, r.k)
 
 
 class TestTableReproduction:

@@ -399,3 +399,11 @@ def test_oracle_imports_nothing_from_evaluate():
     # The judge shares no code with the evaluator it judges.
     imported = _imported_modules(Path(oracle.__file__))
     assert not {n for n in imported if n.split(".")[:2] == ["casteljau", "evaluate"]}
+
+
+def test_no_module_imports_numpy():
+    # Loading numpy would roughly double the CLI's resident memory; a caller
+    # who wants arrays of points brings them.
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        imported = _imported_modules(path)
+        assert not {n for n in imported if n.split(".")[0] == "numpy"}, path.name
