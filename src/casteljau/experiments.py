@@ -78,28 +78,19 @@ class SweepRecord:
     rel_err: float
     cond: float
 
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.s.hex(),
-                repr(self.s),
-                self.method,
-                str(self.k),
-                self.value.hex(),
-                _decimal_string(self.exact),
-                repr(self.rel_err),
-                repr(self.cond),
-            )
-        )
+
+# All fields spelled out, so neither DefaultContext nor the caller's context reaches
+# the CSV (to_sci_string reads these capitals, str() the caller's); flags go unread.
+_DECIMAL = decimal.Context(
+    prec=40, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1,
+    clamp=0, flags=[], traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
 
 
 def _decimal_string(x: Fraction) -> str:
-    if x == 0:
-        return "0"
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    return str(d)
+    return _DECIMAL.to_sci_string(
+        _DECIMAL.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    )
 
 
 def _record(s: float, method: str, k: int, value: float, report: ConditionReport) -> SweepRecord:
@@ -128,7 +119,16 @@ def _sorted(records: list[SweepRecord]) -> list[SweepRecord]:
 
 def render_csv(records: Sequence[SweepRecord]) -> str:
     lines = [",".join(CSV_HEADER)]
-    lines.extend(r.csv_row() for r in records)
+    s = exact = cond = None
+    for r in records:
+        # A point's rows hold the same s, exact and cond objects, so the
+        # columns they share are rendered once per point.
+        if not (r.s is s and r.exact is exact and r.cond is cond):
+            s, exact, cond = r.s, r.exact, r.cond
+            where, exact_dec, cond_repr = f"{s.hex()},{s!r}", _decimal_string(exact), repr(cond)
+        lines.append(
+            f"{where},{r.method},{r.k},{r.value.hex()},{exact_dec},{r.rel_err!r},{cond_repr}"
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -2,12 +2,14 @@
 
 Every coefficient and point is taken as an exact rational: every finite
 binary64 value is a dyadic rational m * 2**e, so the conversion is exact.
-The de Casteljau triangles run on plain Python ints: the coefficients are
-scaled to integers over their common denominator L, and s = a/q turns each
-step r*x + s*y into (q - a)*x + a*y.  The result N over L * q**n is one
-exact ``Fraction``, reduced by a single gcd at the end instead of one per
-step.  Rounding happens at most once per reported quantity, when a rational
-result is turned back into a float for display.
+Evaluation is one pass on plain Python ints: with the coefficients scaled to
+integers N_j over their common denominator L and s = a/q, L * q**n * p(s) is
+the homogeneous Bernstein sum of N_j * C(n, j) * a**j * (q - a)**(n - j),
+taken Horner-style in a; p_tilde(s) shares every term.  It is the integer
+the de Casteljau triangle gives, in O(n) steps instead of O(n**2), and one
+gcd at the end reduces it over L * q**n to an exact ``Fraction``.  Rounding
+happens at most once per reported quantity, when a rational result is turned
+back into a float for display.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ def _ratio(x: RationalLike) -> tuple[int, int]:
     and a string, which ``Fraction`` would parse, one TypeError.
     """
     try:
-        # A float gives its ratio directly, without building a Fraction.
+        # A float or Fraction gives its ratio directly, without a new Fraction.
         if type(x) is float:
             return x.as_integer_ratio()
+        if type(x) is Fraction:
+            return x.numerator, x.denominator
         if isinstance(x, (str, bytes, bytearray)):
             raise TypeError(f"the oracle needs numbers, got {x!r}")
         return Fraction(x).as_integer_ratio()
@@ -51,30 +55,27 @@ def _coefficients(p: Sequence[RationalLike]) -> list[Fraction]:
     return [Fraction(*_ratio(c)) for c in p]
 
 
-def _integer_row(p: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """Integers N_j and their common denominator L with b_j = N_j / L.
+def _scaled_sums(p: Sequence[RationalLike], a: int, q: int) -> tuple[int, int, int]:
+    """p(s) and p_tilde(s) at s = a/q, as exact numerators over one denominator.
 
     L is the lcm of the coefficients' denominators, a power of two for
-    float coefficients.
+    floats.  The power of q - a runs up as j runs down; Horner supplies a**j.
     """
     if len(p) == 0:
         raise ValueError("polynomial needs at least one coefficient")
     ratios = [_ratio(c) for c in p]
     common = math.lcm(*(d for _, d in ratios))
-    return [n * (common // d) for n, d in ratios], common
-
-
-def _triangle(row: list[int], a: int, q: int) -> int:
-    """q**n times the de Casteljau value of ``row`` at s = a/q, exactly.
-
-    Each step r*x + s*y with r = 1 - s is scaled by q to (q - a)*x + a*y,
-    so every entry stays an integer.  Overwrites ``row``.
-    """
+    n = len(ratios) - 1
     b = q - a
-    for level in range(len(row) - 1, 0, -1):
-        for j in range(level):
-            row[j] = b * row[j] + a * row[j + 1]
-    return row[0]
+    value = tilde = 0
+    power = 1
+    for j in range(n, -1, -1):
+        numerator, denominator = ratios[j]
+        term = numerator * (common // denominator) * math.comb(n, j) * power
+        value = value * a + term
+        tilde = tilde * a + abs(term)
+        power *= b
+    return value, tilde, common * q**n
 
 
 def _unit_point(s: RationalLike, caller: str) -> tuple[int, int]:
@@ -99,10 +100,9 @@ class ConditionReport:
 
 
 def exact_eval(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
-    """p(s) by the de Casteljau recurrence in exact integer arithmetic."""
-    row, common = _integer_row(p)
-    a, q = _ratio(s)
-    return Fraction(_triangle(row, a, q), common * q ** (len(row) - 1))
+    """p(s) by the homogeneous Bernstein sum in exact integer arithmetic."""
+    value, _, denominator = _scaled_sums(p, *_ratio(s))
+    return Fraction(value, denominator)
 
 
 def exact_eval_basis(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
@@ -122,10 +122,8 @@ def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     Only defined here for s in [0, 1], where the basis functions are
     nonnegative.
     """
-    a, q = _unit_point(s, "p_tilde")
-    row, common = _integer_row(p)
-    tilde_row = [abs(x) for x in row]
-    return Fraction(_triangle(tilde_row, a, q), common * q ** (len(row) - 1))
+    _, tilde, denominator = _scaled_sums(p, *_unit_point(s, "p_tilde"))
+    return Fraction(tilde, denominator)
 
 
 def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionReport:
@@ -133,15 +131,12 @@ def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionRep
 
     cond = p_tilde(s) / abs(p(s)); at a root of p this is reported as
     infinity.  Finite values are always >= 1, and equal 1 exactly when all
-    coefficients share one sign.  Both triangles run on one integer row,
+    coefficients share one sign.  Both sums come from one integer pass,
     over one denominator, which cond's ratio cancels.
     """
-    a, q = _unit_point(s, "condition_number")
-    row, common = _integer_row(p)
-    tilde_row = [abs(x) for x in row]
-    denominator = common * q ** (len(row) - 1)
-    scaled_tilde = _triangle(tilde_row, a, q)
-    scaled_value = _triangle(row, a, q)
+    scaled_value, scaled_tilde, denominator = _scaled_sums(
+        p, *_unit_point(s, "condition_number")
+    )
     if scaled_value == 0:
         cond: Union[Fraction, float] = math.inf
         rounded = math.inf

@@ -90,9 +90,9 @@ def once_compensated(coeffs, s):
 def fraction_eval(coeffs, s) -> Fraction:
     """Reference p(s): the de Casteljau triangle in ``Fraction`` arithmetic.
 
-    The oracle runs its triangles on integers over a common denominator;
+    The oracle takes one integer pass over the homogeneous Bernstein sum;
     this direct rational transcription of the recurrence is kept only so
-    tests can check those integer paths exactly.
+    tests can check that path exactly.
     """
     row = [Fraction(c) for c in coeffs]
     sf = Fraction(s)

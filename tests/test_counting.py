@@ -83,6 +83,27 @@ class TestCountingFloat:
             wrap(1.0, c) + "x"
         assert c.total == 0
 
+    @pytest.mark.parametrize(
+        "symbol, op",
+        [
+            ("**", lambda x: x**2),
+            ("**", lambda x: 2.0**x),
+            ("**", lambda x: pow(x, 2.0, 3.0)),
+            ("//", lambda x: x // 1.0),
+            ("//", lambda x: 1.0 // x),
+            ("%", lambda x: x % 1.0),
+            ("%", lambda x: 1.0 % x),
+            ("divmod", lambda x: divmod(x, 1.0)),
+            ("divmod", lambda x: divmod(1.0, x)),
+        ],
+    )
+    def test_operators_outside_the_flop_model_refused(self, symbol, op):
+        # Each would return an uncounted plain float if CountingFloat let it.
+        c = FlopCounter()
+        with pytest.raises(TypeError, match=f"refuses {re.escape(symbol)}:"):
+            op(wrap(0.75, c))
+        assert c.total == 0
+
     def test_two_sum_costs_six(self):
         c = FlopCounter()
         two_sum(wrap(1.0, c), wrap(2.0**-53, c))
@@ -94,7 +115,55 @@ class TestCountingFloat:
         assert c.total == 17
 
 
+def _by_name(base_op, kind):
+    def method(self, other):
+        result = base_op(self, other)
+        if result is NotImplemented:
+            return NotImplemented
+        setattr(self.counter, kind, getattr(self.counter, kind) + 1)
+        return NamedCountingFloat(result, self.counter)
+
+    return method
+
+
+class NamedCountingFloat(CountingFloat):
+    """Reference counter: every operation ticks its kind by name."""
+
+    __slots__ = ()
+
+    def zero_like(self):
+        return NamedCountingFloat(0.0, self.counter)
+
+    __add__ = _by_name(float.__add__, "adds")
+    __radd__ = _by_name(float.__radd__, "adds")
+    __sub__ = _by_name(float.__sub__, "subs")
+    __rsub__ = _by_name(float.__rsub__, "subs")
+    __mul__ = _by_name(float.__mul__, "muls")
+    __rmul__ = _by_name(float.__rmul__, "muls")
+    __truediv__ = _by_name(float.__truediv__, "divs")
+    __rtruediv__ = _by_name(float.__rtruediv__, "divs")
+
+    def __neg__(self):
+        return NamedCountingFloat(-float(self), self.counter)
+
+    def __abs__(self):
+        return NamedCountingFloat(abs(float(self)), self.counter)
+
+
 class TestCountedEvaluation:
+    @pytest.mark.parametrize("n", range(9))
+    def test_ledger_by_kind_matches_named_reference(self, n):
+        # Gate 8 compares totals only; this pins every kind's tally.
+        coeffs = [(-1.0) ** j * (j + 1) / 8 for j in range(n + 1)]
+        for k in range(1, 7):
+            value, counter = count_evaluation_flops(coeffs, 0.6875, k)
+            reference = FlopCounter()
+            wrapped = [NamedCountingFloat(c, reference) for c in coeffs]
+            expected = comp_de_casteljau_k(wrapped, NamedCountingFloat(0.6875, reference), k)
+            assert counter.ledger() == reference.ledger(), (n, k)
+            assert counter == reference and counter.total == flop_count(n, k)
+            assert value.hex() == float(expected).hex()
+
     def test_value_bit_identical_to_uninstrumented(self):
         coeffs = [1.0, -0.75, 0.5, -0.25, 0.0]
         s = 0.5 + 1001 * 2.0**-53

@@ -1,5 +1,6 @@
 """Experiment runners and CLI: determinism, schema, built-in assertions."""
 
+import decimal
 import hashlib
 import math
 import os
@@ -212,6 +213,25 @@ class TestOneCascadePerPoint:
         assert len(calls) == cascades
         assert set(calls.values()) == {1}
 
+    @pytest.mark.parametrize(
+        "runner, oracle_calls",
+        [(run_root_neighborhood, 3), (run_condition_sweep, 3), (run_cubic_comparison, 7)],
+    )
+    def test_one_oracle_call_per_point_in_every_run(self, runner, oracle_calls, monkeypatch):
+        # cli.main runs repeatedly in one process (as the benchmark does), so
+        # a memo surviving a run would skip later runs' oracle calls.
+        calls = []
+
+        def counted(p, s):
+            calls.append((tuple(p), s))
+            return condition_number(p, s)
+
+        monkeypatch.setattr(experiments, "condition_number", counted)
+        for _ in range(2):
+            calls.clear()
+            runner(points=3)
+            assert len(calls) == len(set(calls)) == oracle_calls
+
     def test_every_k_equals_its_own_evaluation(self):
         records = run_condition_sweep(k_list=(1, 2, 3, 4, 5, 6, 7, 8), points=4)
         assert len(records) == 32
@@ -370,6 +390,15 @@ class TestCli:
 
 
 class TestExactBookkeeping:
+    @pytest.mark.parametrize(
+        "runner", [run_root_neighborhood, run_condition_sweep, run_cubic_comparison]
+    )
+    def test_csv_ignores_the_callers_decimal_context(self, runner):
+        expected = render_csv(runner(points=3))
+        hostile = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN, capitals=0)
+        with decimal.localcontext(hostile):
+            assert render_csv(runner(points=3)) == expected
+
     def test_exact_dec_has_forty_significant_digits(self):
         for row in _csv_rows(run_condition_sweep(k_list=(1,), points=2)):
             mantissa = row["exact_dec"].split("E")[0].replace("-", "").replace(".", "")

@@ -222,7 +222,7 @@ any_points = st.one_of(
 
 
 class TestMatchesFractionTriangle:
-    """The integer triangles give exactly the ``Fraction`` triangle's results."""
+    """The one integer pass gives exactly the ``Fraction`` triangle's results."""
 
     @given(rational_lists, any_points)
     def test_exact_eval(self, coeffs, s):
@@ -256,6 +256,30 @@ class TestMatchesFractionTriangle:
     @given(rational_lists, st.one_of(st.floats(1.0, 64.0), st.floats(-64.0, 0.0)))
     def test_exact_eval_outside_unit_interval(self, coeffs, s):
         assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
+
+
+class TestOnePassEdges:
+    """The one-pass sum where a or q - a is zero, and up to degree 24."""
+
+    @pytest.mark.parametrize("s", [0.0, 0, Fraction(0), 1.0, 1, Fraction(1)])
+    @given(coeffs=rational_lists)
+    def test_endpoints(self, s, coeffs):
+        end = Fraction(coeffs[0] if s == 0 else coeffs[-1])
+        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s) == end
+        assert p_tilde(coeffs, s) == fraction_p_tilde(coeffs, s) == abs(end)
+        assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
+
+    @pytest.mark.parametrize("s", [0.0, 1, Fraction(1)])
+    def test_root_at_an_endpoint(self, s):
+        coeffs = [0.0, 1.0, -2.0, 0.0]
+        assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
+        assert condition_number(coeffs, s).cond == math.inf
+
+    @given(st.lists(rationals, min_size=10, max_size=25), unit_points)
+    def test_degrees_to_24(self, coeffs, s):
+        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
+        assert p_tilde(coeffs, s) == fraction_p_tilde(coeffs, s)
+        assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
 
 
 def _same_bits(a: float, b: float) -> bool:
