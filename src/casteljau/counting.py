@@ -10,24 +10,39 @@ Sign flips (unary minus) are not floating point operations and are not
 counted; they do wrap their result so the instrumentation never drops out
 mid-expression.  ``**``, ``//``, ``%`` and ``divmod``, reflected or not, are
 outside the paper's flop model and raise ``TypeError`` instead of counting.
+
+``FlopCounter`` is a slotted tally, one int attribute per kind; two counters
+with the same tallies compare equal, and, being mutable, it is unhashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .evaluate import _check_point, _coefficients, comp_de_casteljau_k
 
 
-@dataclass
 class FlopCounter:
-    """Tally of arithmetic operations, by kind."""
+    """Tally of arithmetic operations, by kind; counters with equal tallies are equal."""
 
-    adds: int = 0
-    subs: int = 0
-    muls: int = 0
-    divs: int = 0
+    __slots__ = ("adds", "subs", "muls", "divs")
+
+    def __init__(self, adds: int = 0, subs: int = 0, muls: int = 0, divs: int = 0):
+        self.adds = adds
+        self.subs = subs
+        self.muls = muls
+        self.divs = divs
+
+    def _tally(self) -> tuple[int, int, int, int]:
+        return self.adds, self.subs, self.muls, self.divs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tally() == other._tally()
+
+    def __repr__(self) -> str:
+        return "FlopCounter(adds={}, subs={}, muls={}, divs={})".format(*self._tally())
 
     @property
     def total(self) -> int:

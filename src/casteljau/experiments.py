@@ -19,9 +19,8 @@ All have exactly representable Bernstein coefficients.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .counting import count_evaluation_flops
 from .eft import sum_k
@@ -60,8 +59,7 @@ class CheckFailed(RuntimeError):
         self.report = list(report)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One CSV row: an evaluation point, a method, and its accuracy.
 
     ``exact`` is the oracle's value of the polynomial at ``s``.  ``rel_err``

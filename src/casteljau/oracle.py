@@ -9,15 +9,22 @@ taken Horner-style in a; p_tilde(s) shares every term.  It is the integer
 the de Casteljau triangle gives, in O(n) steps instead of O(n**2), and one
 gcd at the end reduces it over L * q**n to an exact ``Fraction``.  Rounding
 happens at most once per reported quantity, when a rational result is turned
-back into a float for display.
+back into a float for display.  ``condition_number`` returns a
+``ConditionReport`` named tuple.
+
+``bernstein_from_root_form`` builds test polynomials on ints too: it expands
+the root form as one integer polynomial over one denominator and takes each
+Bernstein coefficient through the identity C(j, i) / C(n, i) =
+C(n - i, j - i) / C(n, j), so each needs one int true division and one
+cross-multiplication to prove it exact; a ``Fraction`` is built only for a
+refusal message.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, float, Fraction]
 
@@ -85,8 +92,7 @@ def _unit_point(s: RationalLike, caller: str) -> tuple[int, int]:
     return a, q
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Exact evaluation data at one point.
 
     ``cond`` is p_tilde / abs(p(s)) as an exact rational, or ``math.inf``
@@ -175,37 +181,46 @@ def bernstein_from_root_form(
 ) -> tuple[float, ...]:
     """Bernstein coefficients of scale * product of (s - root)^multiplicity.
 
-    Expands the factors exactly in the monomial basis, then converts with
-    b_j = sum_{i<=j} [C(j,i)/C(n,i)] a_i.  An empty factor list yields the
-    constant polynomial ``scale``.  Raises ValueError, naming the index, for
-    a factor whose multiplicity is not a positive int, and for a Bernstein
-    coefficient that is not exactly representable in binary64.
+    With scale = c/d and each root a/b, expands the integer polynomial
+    A(s) = c * product of (b*s - a)^multiplicity, whose denominator is
+    D = d * product of b^multiplicity, and takes each coefficient from
+    C(n, j) * b_j = sum_{i<=j} C(n-i, j-i) * A_i / D, rounded by one int
+    true division.  An empty factor list yields the constant polynomial
+    ``scale``.  Raises ValueError, naming the index, for a factor whose
+    multiplicity is not a positive int, and for a Bernstein coefficient that
+    is not exactly representable in binary64.
     """
-    monomial = [Fraction(*_ratio(scale))]
+    numerator, denominator = _ratio(scale)
+    monomial = [numerator]
     for index, (root, multiplicity) in enumerate(linear_factors):
         if type(multiplicity) is not int or multiplicity < 1:
             raise ValueError(
                 f"factor {index} has multiplicity {multiplicity!r}; "
                 "it must be a positive integer"
             )
-        rf = Fraction(*_ratio(root))
+        a, b = _ratio(root)
+        denominator *= b**multiplicity
         for _ in range(multiplicity):
-            shifted = [-rf * c for c in monomial] + [Fraction(0)]
-            for i in range(1, len(monomial) + 1):
-                shifted[i] += monomial[i - 1]
+            shifted = [-a * c for c in monomial] + [0]
+            for i, c in enumerate(monomial):
+                shifted[i + 1] += b * c
             monomial = shifted
     n = len(monomial) - 1
     floats = []
     for j in range(n + 1):
-        b_j = sum(
-            Fraction(math.comb(j, i), math.comb(n, i)) * monomial[i]
-            for i in range(j + 1)
-        )
-        value = nearest_float(b_j)
-        if not math.isfinite(value) or Fraction(value) != b_j:
+        scaled = sum(math.comb(n - i, j - i) * monomial[i] for i in range(j + 1))
+        exact_denominator = denominator * math.comb(n, j)
+        try:
+            value = scaled / exact_denominator
+        except OverflowError:  # past the float range
+            exact = False
+        else:
+            value_numerator, value_denominator = value.as_integer_ratio()
+            exact = value_numerator * exact_denominator == scaled * value_denominator
+        if not exact:
             raise ValueError(
-                f"Bernstein coefficient {j} = {b_j} is not exactly "
-                "representable in binary64"
+                f"Bernstein coefficient {j} = {Fraction(scaled, exact_denominator)} "
+                "is not exactly representable in binary64"
             )
         floats.append(value)
     return tuple(floats)

@@ -15,10 +15,12 @@ from casteljau import (
     comp_de_casteljau_k,
     exact_eval,
     leading_terms,
+    nearest_float,
     p_tilde,
     two_prod,
     two_sum,
 )
+from casteljau.oracle import _ratio
 
 # Deterministic property testing: the suite doubles as a regression gate, so
 # example generation must not vary between runs.
@@ -128,6 +130,44 @@ def fraction_condition_number(coeffs, s) -> ConditionReport:
 def fraction_relative_error(computed, exact) -> float:
     """Reference relative_error: ``Fraction`` arithmetic, rounded once."""
     return _rounded(abs(Fraction(computed) - exact) / abs(exact))
+
+
+def fraction_root_form(linear_factors, scale=1) -> tuple[float, ...]:
+    """Reference bernstein_from_root_form: ``Fraction`` expansion and conversion.
+
+    The oracle expands on integers and converts through C(n-i, j-i); this
+    transcription expands in ``Fraction`` arithmetic, converts with b_j =
+    sum_{i<=j} [C(j, i)/C(n, i)] a_i, and checks each coefficient in the
+    same order, so tests can check the floats and every refusal message.
+    """
+    monomial = [Fraction(*_ratio(scale))]
+    for index, (root, multiplicity) in enumerate(linear_factors):
+        if type(multiplicity) is not int or multiplicity < 1:
+            raise ValueError(
+                f"factor {index} has multiplicity {multiplicity!r}; "
+                "it must be a positive integer"
+            )
+        rf = Fraction(*_ratio(root))
+        for _ in range(multiplicity):
+            shifted = [-rf * c for c in monomial] + [Fraction(0)]
+            for i in range(1, len(monomial) + 1):
+                shifted[i] += monomial[i - 1]
+            monomial = shifted
+    n = len(monomial) - 1
+    floats = []
+    for j in range(n + 1):
+        b_j = sum(
+            Fraction(math.comb(j, i), math.comb(n, i)) * monomial[i]
+            for i in range(j + 1)
+        )
+        value = nearest_float(b_j)
+        if not math.isfinite(value) or Fraction(value) != b_j:
+            raise ValueError(
+                f"Bernstein coefficient {j} = {b_j} is not exactly "
+                "representable in binary64"
+            )
+        floats.append(value)
+    return tuple(floats)
 
 
 def check_accuracy_bounds(coeffs, s) -> list[str]:

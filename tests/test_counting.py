@@ -115,6 +115,29 @@ class TestCountingFloat:
         assert c.total == 17
 
 
+class TestFlopCounter:
+    def test_compares_by_value(self):
+        assert FlopCounter() == FlopCounter(0, 0, 0, 0)
+        assert FlopCounter(1, 2, 3, 4) == FlopCounter(adds=1, subs=2, muls=3, divs=4)
+        assert FlopCounter(1, 2, 3, 4) != FlopCounter(1, 2, 3, 5)
+        assert FlopCounter() != (0, 0, 0, 0)
+        c = FlopCounter()
+        c.subs += 1
+        assert c == FlopCounter(subs=1) and c != FlopCounter()
+
+    def test_unhashable_and_slotted(self):
+        # Mutable and equal by value, so unhashable, as the dataclass was.
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(FlopCounter())
+        with pytest.raises(AttributeError):
+            FlopCounter().flops = 1
+
+    def test_repr_and_ledger(self):
+        c = FlopCounter(adds=4, subs=3, muls=2, divs=1)
+        assert repr(c) == "FlopCounter(adds=4, subs=3, muls=2, divs=1)"
+        assert c.ledger() == "adds=4 subs=3 muls=2 divs=1 total=10"
+
+
 def _by_name(base_op, kind):
     def method(self, other):
         result = base_op(self, other)

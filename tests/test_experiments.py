@@ -28,6 +28,7 @@ from casteljau.experiments import (
     QUARTIC,
     SPOTLIGHT_S,
     CheckFailed,
+    SweepRecord,
     render_csv,
     run_condition_sweep,
     run_cubic_comparison,
@@ -88,6 +89,10 @@ class TestCsvShape:
         records = run_cubic_comparison(points=9)
         keys = [(r.s, r.method, r.k) for r in records]
         assert keys == sorted(keys)
+
+    def test_record_fields_are_pinned(self):
+        # Records are built positionally, so the field order is the API.
+        assert SweepRecord._fields == ("s", "method", "k", "value", "exact", "rel_err", "cond")
 
 
 class TestRootNeighborhood:

@@ -7,10 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casteljau import (
+    ConditionReport,
     bernstein_from_root_form,
     comp_de_casteljau_k,
     condition_number,
@@ -29,6 +30,7 @@ from conftest import (
     fraction_eval,
     fraction_p_tilde,
     fraction_relative_error,
+    fraction_root_form,
     signed_floats,
 )
 
@@ -404,6 +406,89 @@ class TestBernsteinFromRootForm:
             assert exact_eval(p, s) == expected
 
 
+def _lcm_of_binomials(n: int) -> int:
+    return math.lcm(*(math.comb(n, i) for i in range(n + 1)))
+
+
+FRACTION_ROOTS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 16))
+SPECIAL_SCALES = st.sampled_from([2**2000, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def root_forms(draw):
+    """Roots p/q with q <= 16, multiplicities 1..4, and scales of every kind."""
+    factors = draw(st.lists(st.tuples(FRACTION_ROOTS, st.integers(1, 4)), max_size=4))
+    n = sum(m for _, m in factors)
+    denominators = math.prod(r.denominator**m for r, m in factors)
+    scale = draw(
+        st.one_of(
+            st.sampled_from([_lcm_of_binomials(n), _lcm_of_binomials(n) * denominators]),
+            st.integers(-(10**6), 10**6),
+            st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 16)),
+            st.floats(),
+            SPECIAL_SCALES,
+        )
+    )
+    return factors, scale
+
+
+def _outcome(construct, factors, scale):
+    """The coefficients' hex strings, or the exception's type and message."""
+    try:
+        coefficients = construct(factors, scale)
+    except Exception as error:  # the refusals are compared, not raised
+        return type(error), str(error)
+    assert type(coefficients) is tuple and all(type(c) is float for c in coefficients)
+    return tuple(c.hex() for c in coefficients)
+
+
+class TestIntegerRootForm:
+    """The integer expansion against conftest's ``Fraction`` reference."""
+
+    @settings(max_examples=300)
+    @given(root_forms())
+    @example(([(Fraction(1, 3), 1)], 3))
+    @example(([(Fraction(1, 3), 2), (Fraction(2, 7), 1)], 9 * 7 * 3))
+    @example(([(2.0**-60, 1)], 1))
+    @example(([(Fraction(1, 2), 4)], 2.0**-1074))
+    @example(([(Fraction(1, 16), 4)], 2.0**1020))
+    @example(([], 0))
+    def test_matches_fraction_reference(self, case):
+        factors, scale = case
+        assert _outcome(bernstein_from_root_form, factors, scale) == _outcome(
+            fraction_root_form, factors, scale
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                FRACTION_ROOTS | st.sampled_from([0.75, math.inf, math.nan]),
+                st.integers(0, 4) | st.just(True),
+            ),
+            max_size=4,
+        ),
+        st.sampled_from([1, 3, Fraction(1, 3)]) | SPECIAL_SCALES,
+    )
+    @example([(0.5, 0)], math.nan)
+    @example([(math.nan, 1), (0.5, 0)], 1)
+    @example([(0.5, True), (math.inf, 1)], 1)
+    @example([(math.nan, 0)], 1)
+    def test_refusals_come_in_the_same_order(self, factors, scale):
+        # The scale first, then each factor's multiplicity before its root,
+        # then the coefficients from b_0 up.
+        assert _outcome(bernstein_from_root_form, factors, scale) == _outcome(
+            fraction_root_form, factors, scale
+        )
+
+    def test_degree_twelve_with_non_dyadic_roots(self):
+        n = 12
+        factors = [(Fraction(1, 3), 5), (Fraction(-7, 5), 3), (Fraction(15, 16), 4)]
+        scale = _lcm_of_binomials(n) * 3**5 * 5**3 * 16**4
+        p = bernstein_from_root_form(factors, scale)
+        assert p == fraction_root_form(factors, scale)
+        assert exact_eval(p, Fraction(1, 3)) == 0
+
+
 def _imported_modules(path: Path) -> set[str]:
     """Absolute names of every module an import statement in ``path`` names."""
     names = set()
@@ -431,3 +516,15 @@ def test_no_module_imports_numpy():
     for path in Path(oracle.__file__).parent.glob("*.py"):
         imported = _imported_modules(path)
         assert not {n for n in imported if n.split(".")[0] == "numpy"}, path.name
+
+
+def test_no_module_imports_dataclasses():
+    # A dataclass generates and compiles its methods at every import.
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        imported = _imported_modules(path)
+        assert not {n for n in imported if n.split(".")[0] == "dataclasses"}, path.name
+
+
+def test_condition_report_fields_are_pinned():
+    # Built positionally (conftest's reference does), so the order is the API.
+    assert ConditionReport._fields == ("exact_value", "p_tilde", "cond", "rounded_cond")
