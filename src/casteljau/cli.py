@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -60,7 +59,10 @@ _FLAGS = {
 # Help line (docstring summary) and flag parameters of each runner, read at
 # import: perfbench's tracer later swaps runners for (*args, **kwargs) wrappers.
 _SUBCOMMANDS = {
-    name: ((runner.__doc__ or "").partition("\n")[0], inspect.signature(runner).parameters)
+    name: (
+        (runner.__doc__ or "").partition("\n")[0],
+        runner.__code__.co_varnames[: runner.__code__.co_argcount],
+    )
     for name, runner in _RUNNERS.items()
 }
 

@@ -2,10 +2,10 @@
 
 Every function here returns floating point results together with the exact
 rounding errors of the operations that produced them, as floating point
-numbers.  The transforms return plain 2-tuples ``(result, error)`` (``(high,
-low)`` for :func:`split`), unpacked at the call site.  "Exact" is meant
-literally: for two_sum, ``result + error`` equals ``a + b`` as a real number
-(checkable in rational arithmetic), and likewise for the product transforms.
+numbers.  The transforms return plain 2-tuples ``(result, error)``, unpacked
+at the call site.  "Exact" is meant literally: for two_sum, ``result +
+error`` equals ``a + b`` as a real number (checkable in rational
+arithmetic), and likewise for the product transforms.
 These identities hold in IEEE-754 binary64 round-to-nearest provided no
 overflow occurs, and for the product transforms provided no underflow occurs
 in the partial products; then ``abs(error) <= u * abs(result)`` with
@@ -15,7 +15,9 @@ The kernels are branch free and use only ``+``, ``-`` and ``*`` on the
 operands, in a fixed order.  Nothing here may be re-associated or contracted
 into fused operations; the intermediate roundings are the point.  Arithmetic
 is done through the operands' own operators, so a float subclass (used by the
-flop-count instrumentation) passes through untouched.
+flop-count instrumentation) passes through untouched.  This module also owns
+the k check and the finite-or-refuse check, ``_check_k`` and
+``_check_finite``, that the package's float-side entry points share.
 """
 
 from __future__ import annotations
@@ -26,6 +28,23 @@ from typing import Sequence
 
 # 2**27 + 1, the Dekker splitter for a 53-bit significand.
 _SPLITTER = 134217729.0
+
+
+def _check_k(k: int) -> None:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+
+
+def _check_finite(value: float, inputs: Sequence[float], invalid: str, overflow: str) -> float:
+    # value reaches every input through +, - and * alone, which never turn inf
+    # or nan back into a finite number (even 0 * inf is nan).  So a finite
+    # value proves its inputs finite; a non-finite one comes either from an
+    # input that is inf or nan or from an overflow.  Messages come prebuilt.
+    if math.isfinite(value):
+        return value
+    if not all(math.isfinite(x) for x in inputs):
+        raise ValueError(invalid)
+    raise OverflowError(overflow)
 
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
@@ -40,24 +59,14 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return result, error
 
 
-def split(a: float) -> tuple[float, float]:
-    """Split ``a`` into the tuple ``(high, low)`` of at most 27 and 26 bits.
-
-    ``high + low == a`` exactly.  4 flops.  Requires ``abs(a) < 2**996`` so
-    that ``a * (2**27 + 1)`` does not overflow; not checked.
-    """
-    z = a * _SPLITTER
-    high = z - (z - a)
-    return high, a - high
-
-
 def two_prod(a: float, b: float) -> tuple[float, float]:
     """EFT of multiplication via Dekker splitting: ``(fl(a*b), error)``, 17 flops.
 
     ``result + error == a * b`` exactly when no overflow occurs and no
     partial product underflows.  With underflow the error term is only
-    approximate; this is documented, not trapped.  Both operands are split
-    as :func:`split` does, inline, in the same order.
+    approximate; this is documented, not trapped.  Each operand is split
+    exactly into halves of at most 27 and 26 bits, inline, which needs
+    ``abs(x) < 2**996`` so that ``x * (2**27 + 1)`` does not overflow.
     """
     result = a * b
     z = a * _SPLITTER
@@ -77,12 +86,9 @@ except ImportError:
     def _fma(x: float, y: float, z: float) -> float:
         # Exact product plus addend in rationals, then one correct rounding.
         # float(Fraction) rounds to nearest, ties to even, which is exactly
-        # the single rounding a hardware fma performs.
-        exact = Fraction(x) * Fraction(y) + Fraction(z)
-        try:
-            return float(exact)
-        except OverflowError:
-            return float("inf") if exact > 0 else float("-inf")
+        # the single rounding a hardware fma performs.  two_prod_fma calls it
+        # only for a finite product, whose error converts without overflow.
+        return float(Fraction(x) * Fraction(y) + Fraction(z))
 
 
 def two_prod_fma(a: float, b: float) -> tuple[float, float]:
@@ -94,11 +100,14 @@ def two_prod_fma(a: float, b: float) -> tuple[float, float]:
     rational ``a*b - result`` to nearest; the emulation returns the same
     bits a hardware FMA would and costs far more than 2 flops.  Callers that
     care about the flop count (not just the values) should use
-    :func:`two_prod`, which is the default everywhere in this package.
+    :func:`two_prod`, which is the default everywhere in this package.  A
+    product that is not finite raises on every interpreter: ValueError if an
+    operand is inf or nan, else OverflowError.
     """
     result = a * b
-    error = _fma(a, b, -result)
-    return result, error
+    invalid = "two_prod_fma operands must be finite"
+    _check_finite(result, (a, b), invalid, "two_prod_fma overflowed the float range")
+    return result, _fma(a, b, -result)
 
 
 def sum_k(p: Sequence[float], k: int) -> float:
@@ -118,8 +127,7 @@ def sum_k(p: Sequence[float], k: int) -> float:
     A result that is not finite raises: ValueError if an entry is inf or
     nan, else OverflowError (a partial sum left the float range).
     """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     if len(p) == 0:
         raise ValueError("sum_k requires a nonempty vector")
     q = list(p)
@@ -129,8 +137,5 @@ def sum_k(p: Sequence[float], k: int) -> float:
     total = q[0]
     for x in q[1:]:
         total = total + x
-    if math.isfinite(total):
-        return total
-    if not all(math.isfinite(x) for x in p):
-        raise ValueError("sum_k entries must be finite")
-    raise OverflowError("sum_k overflowed the float range")
+    invalid = "sum_k entries must be finite"
+    return _check_finite(total, p, invalid, "sum_k overflowed the float range")

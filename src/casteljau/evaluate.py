@@ -17,8 +17,9 @@ A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
 
 A polynomial is a plain sequence of coefficients.  The point s is checked
-up front; the coefficients only when a leading term is not finite, since
-finite terms prove them finite.
+up front by ``_check_point``; the coefficients only when a leading term is
+not finite, since finite terms prove them finite.  That check and the k
+check are :mod:`.eft`'s, which ``sum_k`` shares.
 
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
@@ -29,7 +30,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .eft import sum_k, two_prod, two_sum
+from .eft import _check_finite, _check_k, sum_k, two_prod, two_sum
+
+_INVALID = "comp_de_casteljau_k coefficients must be finite"
 
 
 def _number(c: object, name: str) -> float:
@@ -59,21 +62,6 @@ def _check_point(s: float) -> None:
         raise ValueError(f"evaluation point s must be finite, got {s!r}")
 
 
-def _check_result(
-    result: float, coeffs: Sequence[float], name: str, label: str, limit: str = ""
-) -> float:
-    # s is checked up front, and every coefficient reaches the result through
-    # +, - and * alone, which never turn inf or nan back into a finite value
-    # (even 0 * inf is nan).  So a finite result proves every coefficient
-    # finite, and only a non-finite one needs the O(n) scan: it comes either
-    # from a non-finite coefficient or from an intermediate that overflowed.
-    if math.isfinite(result):
-        return result
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ValueError(f"{name} coefficients must be finite")
-    raise OverflowError(f"{label} evaluation overflowed the float range{limit}")
-
-
 def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     """The K leading values of the K-fold compensated de Casteljau cascade.
 
@@ -86,15 +74,15 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     non-finite term is a non-finite coefficient or an overflow.
     """
     coeffs = _coefficients(p, "comp_de_casteljau_k")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     _check_point(s)
     if k == 1:
         r = 1.0 - s
         row = coeffs
         for level in range(len(row) - 2, -1, -1):
             row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
-        return (_check_result(row[0], coeffs, "comp_de_casteljau_k", "K=1"),)
+        overflow = "K=1 evaluation overflowed the float range"
+        return (_check_finite(row[0], coeffs, _INVALID, overflow),)
 
     n = len(coeffs) - 1
     # Bound once per call, not at import, so that a wrapper installed on the
@@ -104,7 +92,7 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     zero = _zero_like(s)
     # Entry (level, j) overwrites (level + 1, j) in place: with j ascending,
     # (level + 1, j + 1) is read before it is overwritten.  The copy keeps
-    # coeffs intact for _check_result.
+    # coeffs intact for _check_finite.
     base = coeffs[:]
     *stages, last = [[zero] * (n + 1) for _ in range(k - 1)]
     for level in range(n - 1, -1, -1):
@@ -143,9 +131,10 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
             )
 
     terms = (base[0], *[tri[0] for tri in stages], last[0])
-    limit = "; split needs every product operand below 2**996"
+    limit = "split needs every product operand below 2**996"
+    overflow = f"K={k} evaluation overflowed the float range; {limit}"
     for t in terms:
-        _check_result(t, coeffs, "comp_de_casteljau_k", f"K={k}", limit)
+        _check_finite(t, coeffs, _INVALID, overflow)
     return terms
 
 
@@ -164,8 +153,9 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     other numbers become floats, a string raises TypeError.  Raises
     ValueError for a non-finite coefficient or s, or a k that is not a
     positive int.  An intermediate beyond the float range (for k >= 2 also
-    beyond |x| < 2**996, which ``split`` needs) raises OverflowError.  An s
-    outside [0, 1] is extrapolation: no error bound, and the oracle refuses it.
+    beyond |x| < 2**996, which the Dekker split in ``two_prod`` needs)
+    raises OverflowError.  An s outside [0, 1] is extrapolation: no error
+    bound, and the oracle refuses it.
     """
     return sum_k(leading_terms(p, s, k), k)
 
@@ -182,7 +172,8 @@ def horner(coeffs: Sequence[float], s: float) -> float:
     result = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         result = (result * s) + coeffs[i]
-    return _check_result(result, coeffs, "horner", "horner")
+    invalid = "horner coefficients must be finite"
+    return _check_finite(result, coeffs, invalid, "horner evaluation overflowed the float range")
 
 
 def flop_count(n: int, k: int) -> int:
@@ -194,8 +185,7 @@ def flop_count(n: int, k: int) -> int:
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"degree n must be a nonnegative integer, got {n}")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     t_n = n * (n + 1) // 2
     if k == 1:
         return 3 * t_n + 1

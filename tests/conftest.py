@@ -44,21 +44,19 @@ def gamma(n: int) -> Fraction:
 
 
 def cond_multiplier(n: int, k: int) -> Fraction:
-    """Leading coefficient of cond(p, s) in the K-fold error bound, times u**k."""
-    from math import comb
+    """Leading coefficient of cond(p, s) in the K-fold error bound, times u**k.
 
-    if k == 1:
-        q = Fraction(3 * n)
-    elif k == 2:
-        q = Fraction(3 * n * (3 * n + 7), 2)
-    elif k == 3:
-        q = Fraction(3 * n * (3 * n * n + 36 * n + 61), 2)
-    elif k == 4:
-        q = Fraction(
-            81 * comb(n, 4) + 810 * comb(n, 3) + 2475 * comb(n, 2) + 2250 * comb(n, 1)
-        )
-    else:
+    u**k * sum_{j=1..k} c(k, j) * 3**j * 5**(k-j) * C(n, j), where c(k, j)
+    are the unsigned Stirling numbers of the first kind, the coefficients of
+    x (x+1) ... (x+k-1).  For k <= 4 this is the paper's multiplier; beyond
+    that it is an unproven fit, so it is refused.
+    """
+    if not 1 <= k <= 4:
         raise ValueError(f"no closed-form multiplier tabulated for k={k}")
+    stirling = [1]
+    for i in range(k):
+        stirling = [i * a + b for a, b in zip(stirling + [0], [0] + stirling)]
+    q = sum(c * 3**j * 5 ** (k - j) * math.comb(n, j) for j, c in enumerate(stirling))
     return q * U**k
 
 

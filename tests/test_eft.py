@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casteljau import split, sum_k, two_prod, two_prod_fma, two_sum
+from casteljau import sum_k, two_prod, two_prod_fma, two_sum
 
 from conftest import U, gamma, signed_floats
 
 # Magnitude window in which no product underflows and nothing overflows, so
 # the exactness contracts hold without caveats.
 eft_floats = signed_floats(2.0**-300, 2.0**300)
+
+
+def dekker_split(a):
+    # Reference split into halves of at most 27 and 26 bits, high + low == a.
+    z = a * 134217729.0
+    high = z - (z - a)
+    return high, a - high
 
 
 class TestTwoSum:
@@ -43,33 +50,6 @@ class TestTwoSum:
         assert abs(Fraction(error)) <= U * abs(Fraction(a) + Fraction(b))
 
 
-class TestSplit:
-    def test_trivial_values(self):
-        assert split(1.0) == (1.0, 0.0)
-        assert split(0.0) == (0.0, 0.0)
-
-    def test_half_width_parts(self):
-        # Round-to-nearest in the scaled sum pulls the 2**-27 bit into the
-        # low part here; both parts still fit their bit budgets and
-        # recombine exactly.
-        a = 1.0 + 2.0**-27 + 2.0**-52
-        high, low = split(a)
-        assert high == 1.0
-        assert low == 2.0**-27 + 2.0**-52
-        assert Fraction(high) + Fraction(low) == Fraction(a)
-
-    @given(signed_floats(2.0**-300, 2.0**900))
-    def test_parts_recombine_exactly_and_fit(self, a):
-        high, low = split(a)
-        assert Fraction(high) + Fraction(low) == Fraction(a)
-        for part in (high, low):
-            if part != 0.0:
-                num = abs(Fraction(part).numerator)
-                # strip the power of two; the odd part is the significand
-                num >>= (num & -num).bit_length() - 1
-                assert num.bit_length() <= 27
-
-
 class TestTwoProd:
     def test_exactly_representable_product(self):
         assert two_prod(1.5, 1.5) == (2.25, 0.0)
@@ -97,8 +77,8 @@ class TestTwoProd:
     @given(eft_floats, eft_floats)
     def test_inline_splits_match_split(self, a, b):
         result = a * b
-        ah, al = split(a)
-        bh, bl = split(b)
+        ah, al = dekker_split(a)
+        bh, bl = dekker_split(b)
         error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
         assert [x.hex() for x in two_prod(a, b)] == [result.hex(), error.hex()]
 
@@ -111,6 +91,21 @@ class TestTwoProdFma:
     @given(eft_floats, eft_floats)
     def test_bitwise_equal_to_split_form(self, a, b):
         assert two_prod_fma(a, b) == two_prod(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b, error, message",
+        [
+            (1e300, 1e300, OverflowError, "two_prod_fma overflowed the float range"),
+            (math.inf, 1.0, ValueError, "two_prod_fma operands must be finite"),
+            (math.nan, 2.0, ValueError, "two_prod_fma operands must be finite"),
+            (0.0, math.inf, ValueError, "two_prod_fma operands must be finite"),
+        ],
+    )
+    def test_nonfinite_product_refused(self, a, b, error, message):
+        # The same refusal with math.fma (Python >= 3.13) and without it.
+        for x, y in ((a, b), (b, a), (-a, b)):
+            with pytest.raises(error, match=f"^{message}$"):
+                two_prod_fma(x, y)
 
 
 class TestVecSum:

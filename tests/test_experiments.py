@@ -4,6 +4,7 @@ import decimal
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -256,6 +257,28 @@ class TestTableReproduction:
         assert len(entry_lines) == 10
         assert all(" True" in l for l in entry_lines)
 
+    def test_wrong_reference_entry_fails_naming_it(self, tmp_path, capsys, monkeypatch):
+        reference = experiments._spotlight_reference()
+        base, err1, resid = reference[(2, 1)]
+        reference[(2, 1)] = (base + U, err1, resid)
+        monkeypatch.setattr(experiments, "_spotlight_reference", lambda: reference)
+        with pytest.raises(CheckFailed, match=re.escape("mismatches: [(2, 1)]")) as exc:
+            run_table_reproduction()
+        assert "entries audited: 10; mismatches: 1" in exc.value.report[-1]
+        report, err = _failed_run(["table1"], tmp_path, capsys)
+        assert report == exc.value.report
+        assert "regression check failed: triangle audit mismatches: [(2, 1)]" in err
+
+    def test_nonzero_k2_result_fails_naming_the_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "comp_de_casteljau_k", lambda p, s, k: U)
+        message = "triangle audit mismatches: ['K=2 result is exactly 0']"
+        with pytest.raises(CheckFailed, match=re.escape(message)) as exc:
+            run_table_reproduction()
+        assert "check: K=2 result is exactly 0: False" in exc.value.report
+        report, err = _failed_run(["table1"], tmp_path, capsys)
+        assert report == exc.value.report
+        assert f"regression check failed: {message}" in err
+
 
 class TestFlopReport:
     def test_all_cells_match(self):
@@ -268,6 +291,27 @@ class TestFlopReport:
         lines = run_flop_report(k_list=(2,))
         cells = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
         assert len(cells) == 7
+
+    def test_wrong_formula_fails_naming_the_cell(self, tmp_path, capsys, monkeypatch):
+        formula = experiments.flop_count
+        monkeypatch.setattr(
+            experiments, "flop_count", lambda n, k: formula(n, k) + ((n, k) == (5, 3))
+        )
+        cell = f"n=5 k=3 expected {formula(5, 3) + 1} got ["
+        with pytest.raises(CheckFailed, match=re.escape(cell)) as exc:
+            run_flop_report()
+        assert f"   5   3 {formula(5, 3) + 1:10d} {formula(5, 3):13d}  False" in exc.value.report
+        assert str(exc.value).count("expected") == 1
+        report, err = _failed_run(["flops"], tmp_path, capsys)
+        assert report == exc.value.report
+        assert f"regression check failed: instrumented flop counts deviate: {cell}" in err
+
+
+def _failed_run(argv, tmp_path, capsys):
+    # A failed check exits 1 and still writes its report.
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == 1
+    return out.read_text(encoding="utf-8").splitlines(), capsys.readouterr().err
 
 
 def _failing_runner():
@@ -311,6 +355,8 @@ class TestCli:
             ["condition-sweep", "--k", "1,3,1"],
             ["flops", "--k", "2,,3"],
             ["flops", "--k", "2,"],
+            ["flops", "--k", "2,x"],
+            ["root-neighborhood", "--points", "x"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )

@@ -134,6 +134,14 @@ class TestStringInputs:
                 call()
 
 
+@pytest.mark.parametrize(
+    "fn", [exact_eval, exact_eval_basis, p_tilde, condition_number], ids=lambda fn: fn.__name__
+)
+def test_empty_polynomial_rejected(fn):
+    with pytest.raises(ValueError, match="^polynomial needs at least one coefficient$"):
+        fn([], 0.5)
+
+
 class TestConditionNumber:
     def test_single_coefficient_is_perfectly_conditioned(self):
         report = condition_number([5.0], 0.3)
@@ -523,6 +531,14 @@ def test_no_module_imports_dataclasses():
     for path in Path(oracle.__file__).parent.glob("*.py"):
         imported = _imported_modules(path)
         assert not {n for n in imported if n.split(".")[0] == "dataclasses"}, path.name
+
+
+def test_no_module_imports_inspect():
+    # The CLI reads runner parameters from their code objects; inspect would
+    # pull ast, dis and tokenize into every start-up.
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        imported = _imported_modules(path)
+        assert not {n for n in imported if n.split(".")[0] == "inspect"}, path.name
 
 
 def test_condition_report_fields_are_pinned():
