@@ -15,7 +15,6 @@ from .oracle import (
     bernstein_from_root_form,
     condition_number,
     exact_eval,
-    exact_eval_basis,
     nearest_float,
     p_tilde,
     relative_error,
@@ -32,7 +31,6 @@ __all__ = [
     "condition_number",
     "count_evaluation_flops",
     "exact_eval",
-    "exact_eval_basis",
     "flop_count",
     "horner",
     "leading_terms",

@@ -131,7 +131,7 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
             )
 
     terms = (base[0], *[tri[0] for tri in stages], last[0])
-    limit = "split needs every product operand below 2**996"
+    limit = "the Dekker split in two_prod needs every product operand below 2**996"
     overflow = f"K={k} evaluation overflowed the float range; {limit}"
     for t in terms:
         _check_finite(t, coeffs, _INVALID, overflow)

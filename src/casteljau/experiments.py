@@ -27,6 +27,7 @@ from .eft import sum_k
 from .evaluate import comp_de_casteljau_k, flop_count, horner, leading_terms
 from .oracle import (
     ConditionReport,
+    _integer_row,
     bernstein_from_root_form,
     condition_number,
     exact_eval,
@@ -145,9 +146,10 @@ def run_root_neighborhood(points: int = 401) -> list[SweepRecord]:
     exact root among the points).
     """
     records = []
+    octic = _integer_row(OCTIC)
     for j in _centered_offsets(points):
         s = 0.75 + (j * 5e-8)
-        records += _rows(OCTIC, s, (1, 2, 3), condition_number(OCTIC, s))
+        records += _rows(OCTIC, s, (1, 2, 3), condition_number(octic, s))
     return _sorted(records)
 
 
@@ -175,6 +177,7 @@ def run_condition_sweep(
     predecessor; that input limit raises ValueError, not CheckFailed.
     """
     records = []
+    octic = _integer_row(OCTIC)
     last_s = last_cond = None
     for j in range(-5, -5 - points, -1):
         s = _geometric_point(j)
@@ -183,7 +186,7 @@ def run_condition_sweep(
                 f"point j={j} repeats its predecessor {s.hex()}: binary64 spacing "
                 f"near 3/4 leaves room for only {-5 - j} distinct points"
             )
-        report = condition_number(OCTIC, s)
+        report = condition_number(octic, s)
         if last_cond is not None and not report.cond > last_cond:
             raise CheckFailed(
                 f"condition number is not strictly increasing at j={j}: "
@@ -205,16 +208,17 @@ def run_cubic_comparison(points: int = 401) -> list[SweepRecord]:
     there (relative error exactly 1) while K >= 3 stays faithful.
     """
     records = []
+    cubic, quartic = _integer_row(CUBIC_BERNSTEIN), _integer_row(QUARTIC)
     for j in _centered_offsets(points):
         s = 0.5 + (j * 1e-7)
-        report = condition_number(CUBIC_BERNSTEIN, s)
+        report = condition_number(cubic, s)
         records.append(_record(s, "horner", 1, horner(CUBIC_MONOMIAL, s), report))
         records += _rows(CUBIC_BERNSTEIN, s, (1,), report)
     for j in _centered_offsets(points):
         s = 0.5 + (j * 7.5e-14)
-        records += _rows(QUARTIC, s, (2, 3), condition_number(QUARTIC, s))
+        records += _rows(QUARTIC, s, (2, 3), condition_number(quartic, s))
     s = SPOTLIGHT_S
-    records += _rows(QUARTIC, s, (2, 3, 4), condition_number(QUARTIC, s))
+    records += _rows(QUARTIC, s, (2, 3, 4), condition_number(quartic, s))
     return _sorted(records)
 
 

@@ -2,15 +2,16 @@
 
 Every coefficient and point is taken as an exact rational: every finite
 binary64 value is a dyadic rational m * 2**e, so the conversion is exact.
-Evaluation is one pass on plain Python ints: with the coefficients scaled to
-integers N_j over their common denominator L and s = a/q, L * q**n * p(s) is
-the homogeneous Bernstein sum of N_j * C(n, j) * a**j * (q - a)**(n - j),
-taken Horner-style in a; p_tilde(s) shares every term.  It is the integer
-the de Casteljau triangle gives, in O(n) steps instead of O(n**2), and one
-gcd at the end reduces it over L * q**n to an exact ``Fraction``.  Rounding
-happens at most once per reported quantity, when a rational result is turned
-back into a float for display.  ``condition_number`` returns a
-``ConditionReport`` named tuple.
+A polynomial is converted once, into one integer row: the terms
+N_j * C(n, j), with the coefficients scaled to integers N_j over their
+common denominator L; a caller may build it once and pass it in.  At s = a/q
+one pass on plain ints gives L * q**n * p(s), the homogeneous Bernstein sum
+of N_j * C(n, j) * a**j * (q - a)**(n - j), taken Horner-style in a;
+p_tilde(s) shares every term.  It is the integer the de Casteljau triangle
+gives, in O(n) steps instead of O(n**2), and one gcd at the end reduces it
+over L * q**n to an exact ``Fraction``.  Rounding happens at most once per
+reported quantity, when a rational result is turned back into a float.
+``condition_number`` returns a ``ConditionReport`` named tuple.
 
 ``bernstein_from_root_form`` builds test polynomials on ints too: it expands
 the root form as one integer polynomial over one denominator and takes each
@@ -56,33 +57,46 @@ def _ratio(x: RationalLike) -> tuple[int, int]:
         raise ValueError(f"the oracle needs finite numbers, got {x!r}") from None
 
 
-def _coefficients(p: Sequence[RationalLike]) -> list[Fraction]:
-    if len(p) == 0:
-        raise ValueError("polynomial needs at least one coefficient")
-    return [Fraction(*_ratio(c)) for c in p]
+class _IntegerRow(NamedTuple):
+    """A polynomial as integer terms N_j * C(n, j) over one denominator L."""
+
+    terms: tuple[int, ...]
+    denominator: int
 
 
-def _scaled_sums(p: Sequence[RationalLike], a: int, q: int) -> tuple[int, int, int]:
-    """p(s) and p_tilde(s) at s = a/q, as exact numerators over one denominator.
+def _integer_row(p: Union[Sequence[RationalLike], _IntegerRow]) -> _IntegerRow:
+    """The one place the oracle converts and checks coefficients.
 
     L is the lcm of the coefficients' denominators, a power of two for
-    floats.  The power of q - a runs up as j runs down; Horner supplies a**j.
+    floats.  A row passed back in is returned unchanged, so a caller that
+    judges one polynomial at many points converts it once.
     """
+    if type(p) is _IntegerRow:
+        return p
     if len(p) == 0:
         raise ValueError("polynomial needs at least one coefficient")
     ratios = [_ratio(c) for c in p]
     common = math.lcm(*(d for _, d in ratios))
     n = len(ratios) - 1
+    terms = (m * (common // d) * math.comb(n, j) for j, (m, d) in enumerate(ratios))
+    return _IntegerRow(tuple(terms), common)
+
+
+def _scaled_sums(a: int, q: int, row: _IntegerRow) -> tuple[int, int, int]:
+    """p(s) and p_tilde(s) at s = a/q, as exact numerators over L * q**n.
+
+    s comes first, so callers check it before the coefficients.
+    """
+    terms, common = row
     b = q - a
     value = tilde = 0
     power = 1
-    for j in range(n, -1, -1):
-        numerator, denominator = ratios[j]
-        term = numerator * (common // denominator) * math.comb(n, j) * power
+    for term in reversed(terms):
+        term *= power
         value = value * a + term
         tilde = tilde * a + abs(term)
         power *= b
-    return value, tilde, common * q**n
+    return value, tilde, common * q ** (len(terms) - 1)
 
 
 def _unit_point(s: RationalLike, caller: str) -> tuple[int, int]:
@@ -107,19 +121,8 @@ class ConditionReport(NamedTuple):
 
 def exact_eval(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     """p(s) by the homogeneous Bernstein sum in exact integer arithmetic."""
-    value, _, denominator = _scaled_sums(p, *_ratio(s))
+    value, _, denominator = _scaled_sums(*_ratio(s), _integer_row(p))
     return Fraction(value, denominator)
-
-
-def exact_eval_basis(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
-    """p(s) by direct basis summation; an independent check of exact_eval."""
-    coeffs = _coefficients(p)
-    n = len(coeffs) - 1
-    sf = Fraction(*_ratio(s))
-    r = 1 - sf
-    return sum(
-        coeffs[j] * math.comb(n, j) * r ** (n - j) * sf**j for j in range(n + 1)
-    )
 
 
 def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
@@ -128,7 +131,7 @@ def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     Only defined here for s in [0, 1], where the basis functions are
     nonnegative.
     """
-    _, tilde, denominator = _scaled_sums(p, *_unit_point(s, "p_tilde"))
+    _, tilde, denominator = _scaled_sums(*_unit_point(s, "p_tilde"), _integer_row(p))
     return Fraction(tilde, denominator)
 
 
@@ -141,20 +144,13 @@ def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionRep
     over one denominator, which cond's ratio cancels.
     """
     scaled_value, scaled_tilde, denominator = _scaled_sums(
-        p, *_unit_point(s, "condition_number")
+        *_unit_point(s, "condition_number"), _integer_row(p)
     )
-    if scaled_value == 0:
-        cond: Union[Fraction, float] = math.inf
-        rounded = math.inf
-    else:
+    cond: Union[Fraction, float] = math.inf  # at a root
+    if scaled_value:
         cond = Fraction(scaled_tilde, abs(scaled_value))
-        rounded = nearest_float(cond)
-    return ConditionReport(
-        exact_value=Fraction(scaled_value, denominator),
-        p_tilde=Fraction(scaled_tilde, denominator),
-        cond=cond,
-        rounded_cond=rounded,
-    )
+    exact_value, tilde = Fraction(scaled_value, denominator), Fraction(scaled_tilde, denominator)
+    return ConditionReport(exact_value, tilde, cond, nearest_float(cond))
 
 
 def relative_error(computed: float, exact: Fraction) -> float:

@@ -102,6 +102,18 @@ def fraction_eval(coeffs, s) -> Fraction:
     return row[0]
 
 
+def exact_eval_basis(coeffs, s) -> Fraction:
+    """Reference p(s) by direct basis summation, in ``Fraction`` arithmetic.
+
+    sum_j b_j C(n, j) (1 - s)**(n - j) s**j shares no step with the oracle's
+    integer pass or with the triangle, so it stays an independent check.
+    """
+    n = len(coeffs) - 1
+    sf = Fraction(s)
+    r = 1 - sf
+    return sum(Fraction(c) * math.comb(n, j) * r ** (n - j) * sf**j for j, c in enumerate(coeffs))
+
+
 def fraction_p_tilde(coeffs, s) -> Fraction:
     """Reference p_tilde(s): the ``Fraction`` triangle on abs(b_j)."""
     return fraction_eval([abs(Fraction(c)) for c in coeffs], s)

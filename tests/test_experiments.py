@@ -238,6 +238,31 @@ class TestOneCascadePerPoint:
             runner(points=3)
             assert len(calls) == len(set(calls)) == oracle_calls
 
+    @pytest.mark.parametrize(
+        "runner, builds",
+        [(run_root_neighborhood, 1), (run_condition_sweep, 1), (run_cubic_comparison, 2)],
+    )
+    def test_one_row_per_polynomial_in_every_run(self, runner, builds, monkeypatch):
+        # Each run converts each polynomial once, hands the oracle only that
+        # row, and keeps no row for the next run.
+        build = experiments._integer_row
+        built = []
+
+        def counted(p):
+            built.append(tuple(p))
+            return build(p)
+
+        def judged(p, s):
+            assert type(p) is casteljau.oracle._IntegerRow
+            return condition_number(p, s)
+
+        monkeypatch.setattr(experiments, "_integer_row", counted)
+        monkeypatch.setattr(experiments, "condition_number", judged)
+        for _ in range(2):
+            built.clear()
+            runner(points=3)
+            assert len(built) == len(set(built)) == builds
+
     def test_every_k_equals_its_own_evaluation(self):
         records = run_condition_sweep(k_list=(1, 2, 3, 4, 5, 6, 7, 8), points=4)
         assert len(records) == 32
