@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -93,14 +94,21 @@ def _render(result: Sequence) -> str:
 
 
 def _write(text: str, out: Optional[Path]) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        if out is None:
+            # The interpreter flushes stdout again at exit: send what is left
+            # to devnull, so a closed pipe or a full disk is reported once.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 

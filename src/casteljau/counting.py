@@ -6,13 +6,13 @@ returns wrapped results, so feeding wrapped inputs through an evaluator
 counts exactly the operations the plain-float run would perform.  Values are
 bit-identical to the uninstrumented run.
 
-Sign flips (unary minus) are not floating point operations and are not
-counted; they do wrap their result so the instrumentation never drops out
-mid-expression.  ``**``, ``//``, ``%`` and ``divmod``, reflected or not, are
-outside the paper's flop model and raise ``TypeError`` instead of counting.
+The paper counts additions, subtractions and multiplications.  Sign flips
+(unary minus) are not floating point operations and are not counted; they
+do wrap their result so the instrumentation never drops out mid-expression.
+``/``, ``**``, ``//``, ``%`` and ``divmod``, reflected or not, are outside
+the paper's flop model and raise ``TypeError`` instead of counting.
 
-``FlopCounter`` is a slotted tally, one int attribute per kind; two counters
-with the same tallies compare equal, and, being mutable, it is unhashable.
+``FlopCounter`` is a slotted tally, one int attribute per counted kind.
 """
 
 from __future__ import annotations
@@ -23,36 +23,19 @@ from .evaluate import _check_point, _coefficients, comp_de_casteljau_k
 
 
 class FlopCounter:
-    """Tally of arithmetic operations, by kind; counters with equal tallies are equal."""
+    """Tally of arithmetic operations, by kind, starting at zero."""
 
-    __slots__ = ("adds", "subs", "muls", "divs")
+    __slots__ = ("adds", "subs", "muls")
 
-    def __init__(self, adds: int = 0, subs: int = 0, muls: int = 0, divs: int = 0):
-        self.adds = adds
-        self.subs = subs
-        self.muls = muls
-        self.divs = divs
-
-    def _tally(self) -> tuple[int, int, int, int]:
-        return self.adds, self.subs, self.muls, self.divs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._tally() == other._tally()
-
-    def __repr__(self) -> str:
-        return "FlopCounter(adds={}, subs={}, muls={}, divs={})".format(*self._tally())
+    def __init__(self):
+        self.adds = self.subs = self.muls = 0
 
     @property
     def total(self) -> int:
-        return self.adds + self.subs + self.muls + self.divs
+        return self.adds + self.subs + self.muls
 
     def ledger(self) -> str:
-        return (
-            f"adds={self.adds} subs={self.subs} muls={self.muls} "
-            f"divs={self.divs} total={self.total}"
-        )
+        return f"adds={self.adds} subs={self.subs} muls={self.muls} total={self.total}"
 
 
 def _counted(base_op, kind: str):
@@ -68,10 +51,8 @@ def _counted(base_op, kind: str):
             counter.subs += 1
         elif kind == "muls":
             counter.muls += 1
-        elif kind == "adds":
-            counter.adds += 1
         else:
-            counter.divs += 1
+            counter.adds += 1
         out = new(CountingFloat, result)
         out.counter = counter
         return out
@@ -107,8 +88,7 @@ class CountingFloat(float):
     __rsub__ = _counted(float.__rsub__, "subs")
     __mul__ = _counted(float.__mul__, "muls")
     __rmul__ = _counted(float.__rmul__, "muls")
-    __truediv__ = _counted(float.__truediv__, "divs")
-    __rtruediv__ = _counted(float.__rtruediv__, "divs")
+    __truediv__ = __rtruediv__ = _refused("/")
     __pow__ = __rpow__ = _refused("**")
     __floordiv__ = __rfloordiv__ = _refused("//")
     __mod__ = __rmod__ = _refused("%")

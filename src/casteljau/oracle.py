@@ -11,7 +11,9 @@ p_tilde(s) shares every term.  It is the integer the de Casteljau triangle
 gives, in O(n) steps instead of O(n**2), and one gcd at the end reduces it
 over L * q**n to an exact ``Fraction``.  Rounding happens at most once per
 reported quantity, when a rational result is turned back into a float.
-``condition_number`` returns a ``ConditionReport`` named tuple.
+``condition_number`` returns a ``ConditionReport`` named tuple: p(s), cond
+and its rounding.  Away from a root p_tilde(s) is cond * abs(p(s)), and
+``p_tilde`` gives it anywhere in [0, 1].
 
 ``bernstein_from_root_form`` builds test polynomials on ints too: it expands
 the root form as one integer polynomial over one denominator and takes each
@@ -114,7 +116,6 @@ class ConditionReport(NamedTuple):
     """
 
     exact_value: Fraction
-    p_tilde: Fraction
     cond: Union[Fraction, float]
     rounded_cond: float
 
@@ -149,8 +150,7 @@ def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionRep
     cond: Union[Fraction, float] = math.inf  # at a root
     if scaled_value:
         cond = Fraction(scaled_tilde, abs(scaled_value))
-    exact_value, tilde = Fraction(scaled_value, denominator), Fraction(scaled_tilde, denominator)
-    return ConditionReport(exact_value, tilde, cond, nearest_float(cond))
+    return ConditionReport(Fraction(scaled_value, denominator), cond, nearest_float(cond))
 
 
 def relative_error(computed: float, exact: Fraction) -> float:

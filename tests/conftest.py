@@ -130,11 +130,10 @@ def _rounded(x: Fraction) -> float:
 def fraction_condition_number(coeffs, s) -> ConditionReport:
     """Reference condition_number from the two ``Fraction`` triangles."""
     value = fraction_eval(coeffs, s)
-    tilde = fraction_p_tilde(coeffs, s)
     if value == 0:
-        return ConditionReport(value, tilde, math.inf, math.inf)
-    cond = tilde / abs(value)
-    return ConditionReport(value, tilde, cond, _rounded(cond))
+        return ConditionReport(value, math.inf, math.inf)
+    cond = fraction_p_tilde(coeffs, s) / abs(value)
+    return ConditionReport(value, cond, _rounded(cond))
 
 
 def fraction_relative_error(computed, exact) -> float:

@@ -26,9 +26,8 @@ class TestCountingFloat:
         assert a + b == 0.1 + 0.7
         assert a - b == 0.1 - 0.7
         assert a * b == 0.1 * 0.7
-        assert a / b == 0.1 / 0.7
-        assert c.adds == 1 and c.subs == 1 and c.muls == 1 and c.divs == 1
-        assert c.total == 4
+        assert c.adds == 1 and c.subs == 1 and c.muls == 1
+        assert c.total == 3
 
     def test_reflected_operations_counted(self):
         c = FlopCounter()
@@ -55,8 +54,6 @@ class TestCountingFloat:
             lambda x: 2.0 - x,
             lambda x: x * 2.0,
             lambda x: 2.0 * x,
-            lambda x: x / 2.0,
-            lambda x: 2.0 / x,
             lambda x: -x,
             lambda x: +x,
             lambda x: abs(x),
@@ -86,6 +83,8 @@ class TestCountingFloat:
     @pytest.mark.parametrize(
         "symbol, op",
         [
+            ("/", lambda x: x / 2.0),
+            ("/", lambda x: 2.0 / x),
             ("**", lambda x: x**2),
             ("**", lambda x: 2.0**x),
             ("**", lambda x: pow(x, 2.0, 3.0)),
@@ -116,26 +115,16 @@ class TestCountingFloat:
 
 
 class TestFlopCounter:
-    def test_compares_by_value(self):
-        assert FlopCounter() == FlopCounter(0, 0, 0, 0)
-        assert FlopCounter(1, 2, 3, 4) == FlopCounter(adds=1, subs=2, muls=3, divs=4)
-        assert FlopCounter(1, 2, 3, 4) != FlopCounter(1, 2, 3, 5)
-        assert FlopCounter() != (0, 0, 0, 0)
-        c = FlopCounter()
-        c.subs += 1
-        assert c == FlopCounter(subs=1) and c != FlopCounter()
-
-    def test_unhashable_and_slotted(self):
-        # Mutable and equal by value, so unhashable, as the dataclass was.
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(FlopCounter())
+    def test_slotted(self):
+        assert FlopCounter.__slots__ == ("adds", "subs", "muls")
         with pytest.raises(AttributeError):
-            FlopCounter().flops = 1
+            FlopCounter().divs = 1
 
-    def test_repr_and_ledger(self):
-        c = FlopCounter(adds=4, subs=3, muls=2, divs=1)
-        assert repr(c) == "FlopCounter(adds=4, subs=3, muls=2, divs=1)"
-        assert c.ledger() == "adds=4 subs=3 muls=2 divs=1 total=10"
+    def test_ledger(self):
+        c = FlopCounter()
+        assert c.ledger() == "adds=0 subs=0 muls=0 total=0"
+        c.adds, c.subs, c.muls = 4, 3, 2
+        assert c.ledger() == "adds=4 subs=3 muls=2 total=9"
 
 
 def _by_name(base_op, kind):
@@ -163,8 +152,6 @@ class NamedCountingFloat(CountingFloat):
     __rsub__ = _by_name(float.__rsub__, "subs")
     __mul__ = _by_name(float.__mul__, "muls")
     __rmul__ = _by_name(float.__rmul__, "muls")
-    __truediv__ = _by_name(float.__truediv__, "divs")
-    __rtruediv__ = _by_name(float.__rtruediv__, "divs")
 
     def __neg__(self):
         return NamedCountingFloat(-float(self), self.counter)
@@ -184,7 +171,7 @@ class TestCountedEvaluation:
             wrapped = [NamedCountingFloat(c, reference) for c in coeffs]
             expected = comp_de_casteljau_k(wrapped, NamedCountingFloat(0.6875, reference), k)
             assert counter.ledger() == reference.ledger(), (n, k)
-            assert counter == reference and counter.total == flop_count(n, k)
+            assert counter.total == flop_count(n, k)
             assert value.hex() == float(expected).hex()
 
     def test_value_bit_identical_to_uninstrumented(self):
@@ -212,6 +199,7 @@ class TestCountedEvaluation:
                 count_evaluation_flops(p, s, 2)
 
     def test_no_divisions_anywhere(self):
+        # CountingFloat refuses /, so a division in the evaluator would raise.
         for k in (1, 2, 5):
             _, counter = count_evaluation_flops([1.0, -1.0, 1.0, -1.0], 0.6, k)
-            assert counter.divs == 0
+            assert counter.total == flop_count(3, k)

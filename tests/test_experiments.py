@@ -1,6 +1,7 @@
 """Experiment runners and CLI: determinism, schema, built-in assertions."""
 
 import decimal
+import errno
 import hashlib
 import math
 import os
@@ -448,21 +449,99 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
-        # The child imports the same package as this process, installed or not.
-        src = str(Path(casteljau.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "casteljau", "condition-sweep", "--points", "3",
-             "--k", "2", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = _run_module(
+            ["condition-sweep", "--points", "3", "--k", "2", "--out", str(out)],
+            stdout=subprocess.DEVNULL,
         )
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 4
+
+    def test_closed_pipe_on_stdout_exits_2(self):
+        # As `casteljau root-neighborhood | true`, with the reader closed
+        # before the child starts, so that every write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_module(["root-neighborhood"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        # Exactly one line: no traceback, and no "Exception ignored" at exit.
+        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        assert proc.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_on_stdout_exits_2(self):
+        with open("/dev/full", "wb") as full:
+            proc = _run_module(["table1"], stdout=full)
+        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert proc.returncode == 2
+
+
+# Children import the same package as this process, installed or not.
+SRC = str(Path(casteljau.__file__).resolve().parents[1])
+
+
+def _run_module(argv, **kwargs):
+    """``python -m casteljau *argv`` in a child, its stderr captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "casteljau", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
+def _other_interpreters() -> list[Path]:
+    """Every pyenv CPython >= 3.10 but the running one, by absolute path.
+
+    The pyenv shims can fail inside a subprocess, so they are not used.
+    """
+    running = Path(sys.executable).resolve()
+    found = []
+    for python in sorted(Path.home().glob(".pyenv/versions/*/bin/python")):
+        version = re.match(r"(\d+)\.(\d+)\.", python.parts[-3])
+        supported = version and (int(version[1]), int(version[2])) >= (3, 10)
+        if supported and python.resolve() != running:
+            found.append(python)
+    return found
+
+
+# Runs every experiment named on the command line, writing each to DIR/NAME.
+_RUN_EXPERIMENTS = """
+import sys
+from casteljau.cli import main
+out, names = sys.argv[1], sys.argv[2:]
+sys.exit(max(main([name, "--out", f"{out}/{name}"]) for name in names))
+"""
+
+
+def test_every_installed_interpreter_gives_the_same_bytes(tmp_path):
+    # The CSVs promise the same bytes on every platform; each interpreter
+    # runs the five experiments from this source tree, one child each.
+    pythons = _other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 under ~/.pyenv/versions")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    golden = (Path(__file__).parent / "data" / "root_neighborhood.csv").read_bytes()
+    names = sorted(cli._RUNNERS)
+    for python in pythons:
+        out = tmp_path / python.parts[-3]
+        out.mkdir()
+        proc = subprocess.run(
+            [str(python), "-c", _RUN_EXPERIMENTS, str(out), *names],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, (python, proc.stderr)
+        assert (out / "root-neighborhood").read_bytes() == golden, python
+        for name, digest in OUTPUT_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (python, name)
 
 
 class TestExactBookkeeping:

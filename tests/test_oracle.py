@@ -23,7 +23,7 @@ from casteljau import (
     relative_error,
 )
 
-from casteljau.experiments import OCTIC, SPOTLIGHT_S
+from casteljau.experiments import OCTIC, SPOTLIGHT_S, SweepRecord
 from conftest import (
     U,
     exact_eval_basis,
@@ -152,7 +152,6 @@ class TestConditionNumber:
     def test_root_reports_infinity(self):
         report = condition_number(CUBIC, 0.5)
         assert report.exact_value == 0
-        assert report.p_tilde == 1
         assert report.cond == math.inf
         assert report.rounded_cond == math.inf
 
@@ -610,21 +609,47 @@ def _names_used(path: Path) -> set[str]:
     return used
 
 
+def _callers() -> list[Path]:
+    """The library's modules but __init__, and perfbench's non-test modules."""
+    package = Path(oracle.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    paths = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    return paths + [path for path in perfbench.glob("*.py") if not path.name.startswith("test_")]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # API that only tests call is deleted or moved into the tests.  The
     # re-export in __init__ is not a use, and neither is a test.  Exempt:
     # two_prod_fma, kept public on purpose, because gate 2 proves it
     # bit-identical to two_prod and the planned fma product EFT (ROADMAP.md)
     # would put it to work in the kernel.
-    package = Path(oracle.__file__).parent
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    paths = [path for path in package.glob("*.py") if path.name != "__init__.py"]
-    paths += [path for path in perfbench.glob("*.py") if not path.name.startswith("test_")]
-    used = set().union(*map(_names_used, paths))
+    used = set().union(*map(_names_used, _callers()))
     unused = set(casteljau.__all__) - used - {"two_prod_fma"}
     assert not unused, f"only tests call {sorted(unused)}"
 
 
+def _attributes_read(path: Path) -> set[str]:
+    """Every attribute a module reads as a value; a call target is not read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in called
+    }
+
+
+def test_every_result_field_has_a_reader():
+    # A result type holds only what the library or perfbench reads, so
+    # cj.oracle.p_tilde(...), a call, is no reader of a field p_tilde.
+    read = set().union(*map(_attributes_read, _callers()))
+    for result in (ConditionReport, SweepRecord):
+        unread = [field for field in result._fields if field not in read]
+        assert not unread, f"only tests read {result.__name__} fields {unread}"
+
+
 def test_condition_report_fields_are_pinned():
     # Built positionally (conftest's reference does), so the order is the API.
-    assert ConditionReport._fields == ("exact_value", "p_tilde", "cond", "rounded_cond")
+    assert ConditionReport._fields == ("exact_value", "cond", "rounded_cond")
