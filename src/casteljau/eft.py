@@ -1,16 +1,19 @@
 """Error-free transformations and K-fold compensated summation.
 
-Every function here returns floating point results together with the exact
-rounding errors of the operations that produced them, as floating point
-numbers.  The transforms return plain 2-tuples ``(result, error)``, unpacked
-at the call site.  "Exact" is meant literally: for two_sum, ``result +
-error`` equals ``a + b`` as a real number (checkable in rational
-arithmetic), and likewise for the product transforms.
+An error-free transformation (EFT) returns a floating point result together
+with the exact rounding error of the operation that produced it, as a plain
+2-tuple ``(result, error)`` unpacked at the call site.  "Exact" is meant
+literally: for two_sum, ``result + error`` equals ``a + b`` as a real number
+(checkable in rational arithmetic), and likewise ``a * b`` for the product
+transforms.
 These identities hold in IEEE-754 binary64 round-to-nearest provided no
 overflow occurs, and for the product transforms provided no underflow occurs
 in the partial products; then ``abs(error) <= u * abs(result)`` with
 u = 2**-53.
 
+The de Casteljau kernel (:mod:`.evaluate`) calls no EFT in its loops: in
+CPython a call costs more than the flops inside, so it spells out two_sum
+and Dekker's product, both operands split by ``_SPLITTER``, in place.
 The kernels are branch free and use only ``+``, ``-`` and ``*`` on the
 operands, in a fixed order.  Nothing here may be re-associated or contracted
 into fused operations; the intermediate roundings are the point.  Arithmetic
@@ -59,26 +62,6 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return result, error
 
 
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """EFT of multiplication via Dekker splitting: ``(fl(a*b), error)``, 17 flops.
-
-    ``result + error == a * b`` exactly when no overflow occurs and no
-    partial product underflows.  With underflow the error term is only
-    approximate; this is documented, not trapped.  Each operand is split
-    exactly into halves of at most 27 and 26 bits, inline, which needs
-    ``abs(x) < 2**996`` so that ``x * (2**27 + 1)`` does not overflow.
-    """
-    result = a * b
-    z = a * _SPLITTER
-    ah = z - (z - a)
-    al = a - ah
-    z = b * _SPLITTER
-    bh = z - (z - b)
-    bl = b - bh
-    error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
-    return result, error
-
-
 try:
     from math import fma as _fma  # Python >= 3.13
 except ImportError:
@@ -94,15 +77,15 @@ except ImportError:
 def two_prod_fma(a: float, b: float) -> tuple[float, float]:
     """EFT of multiplication via fused multiply-add: ``(fl(a*b), error)``, 2 flops.
 
-    Bitwise identical to :func:`two_prod` wherever neither over- nor
-    underflows.  ``math.fma`` only exists on Python >= 3.13, so on older
-    interpreters the fused operation is emulated by rounding the exact
-    rational ``a*b - result`` to nearest; the emulation returns the same
-    bits a hardware FMA would and costs far more than 2 flops.  Callers that
-    care about the flop count (not just the values) should use
-    :func:`two_prod`, which is the default everywhere in this package.  A
-    product that is not finite raises on every interpreter: ValueError if an
-    operand is inf or nan, else OverflowError.
+    Bitwise identical to Dekker's product, the 17-flop form that the de
+    Casteljau kernel spells out, wherever neither over- nor underflows.
+    ``math.fma`` only exists on Python >= 3.13, so on older interpreters the
+    fused operation is emulated by rounding the exact rational
+    ``a*b - result`` to nearest; the emulation returns the same bits a
+    hardware FMA would and costs far more than 2 flops.  The kernel and the
+    paper's flop count use Dekker's product.  A product that is not finite
+    raises on every interpreter: ValueError if an operand is inf or nan,
+    else OverflowError.
     """
     result = a * b
     invalid = "two_prod_fma operands must be finite"

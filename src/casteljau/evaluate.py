@@ -11,7 +11,9 @@ is their K-fold compensated sum, ``sum_k(leading_terms(p, s, k), k)``,
 which behaves as if computed in K times the working precision; K = 2 is
 the classic once-compensated algorithm.  A triangle entry (level, j) is
 the apex of the triangle of its sub-row ``p[j : j + n - level + 1]``, so
-no triangle is kept.
+no triangle is kept.  The kernel's loops call no EFT: each two_sum and
+each Dekker product (both operands split) is spelled out in place,
+operation for operation, since in CPython a call costs more than its flops.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .eft import _check_finite, _check_k, sum_k, two_prod, two_sum
+from .eft import _SPLITTER, _check_finite, _check_k, sum_k, two_sum
 
 _INVALID = "comp_de_casteljau_k coefficients must be finite"
 
@@ -85,23 +87,30 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
         return (_check_finite(row[0], coeffs, _INVALID, overflow),)
 
     n = len(coeffs) - 1
-    # Bound once per call, not at import, so that a wrapper installed on the
-    # module globals before the call still sees every EFT.
-    add2, mul2 = two_sum, two_prod
-    r_hat, rho = add2(1.0, -s)
+    r_hat, rho = two_sum(1.0, -s)
     zero = _zero_like(s)
     # Entry (level, j) overwrites (level + 1, j) in place: with j ascending,
     # (level + 1, j + 1) is read before it is overwritten.  The copy keeps
     # coeffs intact for _check_finite.
     base = coeffs[:]
     *stages, last = [[zero] * (n + 1) for _ in range(k - 1)]
+    # Each EFT below is two_sum's 6 flops or Dekker's 17-flop product, both
+    # operands split, written out with z as scratch.  The comment on its
+    # first line is the exact identity that its lines establish.
     for level in range(n - 1, -1, -1):
         for j in range(level + 1):
-            delta_b = base[j]
-            pr, pr_err = mul2(r_hat, delta_b)
-            ps, ps_err = mul2(s, base[j + 1])
-            base[j], sigma = add2(pr, ps)
-            e = [pr_err, ps_err, sigma]
+            delta_b, b = base[j], base[j + 1]
+            pr = r_hat * delta_b  # pr + pr_err == r_hat * delta_b
+            al = r_hat - (ah := (z := r_hat * _SPLITTER) - (z - r_hat))
+            bl = delta_b - (bh := (z := delta_b * _SPLITTER) - (z - delta_b))
+            pr_err = al * bl - (((pr - ah * bh) - al * bh) - ah * bl)
+            ps = s * b  # ps + ps_err == s * b
+            al = s - (ah := (z := s * _SPLITTER) - (z - s))
+            bl = b - (bh := (z := b * _SPLITTER) - (z - b))
+            ps_err = al * bl - (((ps - ah * bh) - al * bh) - ah * bl)
+            base[j] = y = pr + ps  # y + sigma == pr + ps
+            z = y - pr
+            e = [pr_err, ps_err, (pr - (y - z)) + (ps - z)]
             for tri in stages:
                 # Local error of this stage: sum(e) + rho * delta_b, left to
                 # right, keeping every fresh residual in production order.
@@ -110,16 +119,32 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
                 l_hat = next(chain)
                 eta = []
                 for x in chain:
-                    l_hat, t = add2(l_hat, x)
-                    eta.append(t)
-                prod, t_rho = mul2(rho, delta_b)
-                l_hat, t_l = add2(l_hat, prod)
-                delta_b = tri[j]
-                ps2, t1 = mul2(s, tri[j + 1])
-                part, t2 = add2(l_hat, ps2)
-                pr2, t3 = mul2(r_hat, delta_b)
-                tri[j], t4 = add2(part, pr2)
-                eta += (t_rho, t_l, t1, t2, t3, t4)
+                    y = l_hat + x  # y + t == l_hat + x
+                    z = y - l_hat
+                    eta.append((l_hat - (y - z)) + (x - z))
+                    l_hat = y
+                pr = rho * delta_b  # pr + t_rho == rho * delta_b
+                al = rho - (ah := (z := rho * _SPLITTER) - (z - rho))
+                bl = delta_b - (bh := (z := delta_b * _SPLITTER) - (z - delta_b))
+                t_rho = al * bl - (((pr - ah * bh) - al * bh) - ah * bl)
+                y = l_hat + pr  # y + t_l == l_hat + pr
+                z = y - l_hat
+                t_l = (l_hat - (y - z)) + (pr - z)
+                delta_b, b = tri[j], tri[j + 1]
+                ps = s * b  # ps + t1 == s * b
+                al = s - (ah := (z := s * _SPLITTER) - (z - s))
+                bl = b - (bh := (z := b * _SPLITTER) - (z - b))
+                t1 = al * bl - (((ps - ah * bh) - al * bh) - ah * bl)
+                part = y + ps  # part + t2 == y + ps
+                z = part - y
+                t2 = (y - (part - z)) + (ps - z)
+                pr = r_hat * delta_b  # pr + t3 == r_hat * delta_b
+                al = r_hat - (ah := (z := r_hat * _SPLITTER) - (z - r_hat))
+                bl = delta_b - (bh := (z := delta_b * _SPLITTER) - (z - delta_b))
+                t3 = al * bl - (((pr - ah * bh) - al * bh) - ah * bl)
+                tri[j] = y = part + pr  # y + t4 == part + pr
+                z = y - part
+                eta += (t_rho, t_l, t1, t2, t3, (part - (y - z)) + (pr - z))
                 e = eta
             # The last stage runs the same chain with its residuals dropped.
             chain = iter(e)
@@ -131,7 +156,7 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
             )
 
     terms = (base[0], *[tri[0] for tri in stages], last[0])
-    limit = "the Dekker split in two_prod needs every product operand below 2**996"
+    limit = "the kernel's Dekker product needs every operand below 2**996"
     overflow = f"K={k} evaluation overflowed the float range; {limit}"
     for t in terms:
         _check_finite(t, coeffs, _INVALID, overflow)
@@ -153,7 +178,7 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     other numbers become floats, a string raises TypeError.  Raises
     ValueError for a non-finite coefficient or s, or a k that is not a
     positive int.  An intermediate beyond the float range (for k >= 2 also
-    beyond |x| < 2**996, which the Dekker split in ``two_prod`` needs)
+    beyond |x| < 2**996, which the kernel's Dekker product needs)
     raises OverflowError.  An s outside [0, 1] is extrapolation: no error
     bound, and the oracle refuses it.
     """

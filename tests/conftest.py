@@ -17,7 +17,6 @@ from casteljau import (
     leading_terms,
     nearest_float,
     p_tilde,
-    two_prod,
     two_sum,
 )
 from casteljau.oracle import _ratio
@@ -58,6 +57,26 @@ def cond_multiplier(n: int, k: int) -> Fraction:
         stirling = [i * a + b for a, b in zip(stirling + [0], [0] + stirling)]
     q = sum(c * 3**j * 5 ** (k - j) * math.comb(n, j) for j, c in enumerate(stirling))
     return q * U**k
+
+
+def two_prod(a, b):
+    """Reference TwoProduct, Dekker's: ``(fl(a*b), error)``, 17 flops.
+
+    The kernel spells this product out in place of a call; this copy lets
+    the tests check it alone, count it and replay the cascade with it.
+    ``result + error == a * b`` exactly when no overflow occurs and no
+    partial product underflows.  Each operand is split into halves of at
+    most 27 and 26 bits, which needs ``abs(x) < 2**996``.
+    """
+    result = a * b
+    z = a * 134217729.0
+    ah = z - (z - a)
+    al = a - ah
+    z = b * 134217729.0
+    bh = z - (z - b)
+    bl = b - bh
+    error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
+    return result, error
 
 
 def once_compensated(coeffs, s):

@@ -18,7 +18,6 @@ from casteljau import (
     exact_eval,
     leading_terms,
     nearest_float,
-    two_prod,
     two_prod_fma,
     two_sum,
 )
@@ -31,7 +30,7 @@ from casteljau.experiments import (
     run_table_reproduction,
 )
 
-from conftest import DATA_DIR, U, check_accuracy_bounds, once_compensated
+from conftest import DATA_DIR, U, check_accuracy_bounds, once_compensated, two_prod
 
 U_FLOAT = float(U)
 TWO_U = 2 * U

@@ -10,9 +10,10 @@ from casteljau import (
     comp_de_casteljau_k,
     count_evaluation_flops,
     flop_count,
-    two_prod,
     two_sum,
 )
+
+from conftest import two_prod
 
 
 def wrap(value, counter):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casteljau import sum_k, two_prod, two_prod_fma, two_sum
+from casteljau import sum_k, two_prod_fma, two_sum
 
-from conftest import U, gamma, signed_floats
+from conftest import U, gamma, signed_floats, two_prod
 
 # Magnitude window in which no product underflows and nothing overflows, so
 # the exactness contracts hold without caveats.

@@ -1,16 +1,20 @@
 """Evaluator behavior: endpoints, local errors, the cascade, bounds."""
 
+import ast
 import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casteljau import (
+    CountingFloat,
+    FlopCounter,
     comp_de_casteljau_k,
     count_evaluation_flops,
     evaluate,
@@ -19,11 +23,10 @@ from casteljau import (
     horner,
     leading_terms,
     sum_k,
-    two_prod,
     two_sum,
 )
 
-from conftest import check_accuracy_bounds, once_compensated, signed_floats
+from conftest import check_accuracy_bounds, once_compensated, signed_floats, two_prod
 
 CUBIC = (-1.0, 1.0, -1.0, 1.0)
 QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
@@ -163,7 +166,7 @@ class TestLocalError:
     @given(
         st.lists(small_floats, min_size=2, max_size=8),
         st.floats(2.0**-30, 1.0),
-        st.integers(3, 5),
+        st.integers(3, 8),
     )
     def test_eft_identity(self, coeffs, s, k):
         # replay_cascade asserts the exact identity of every local error
@@ -208,13 +211,16 @@ def replay_cascade(coeffs, s, k):
     fresh residuals, as rationals.  Returns the full triangles, indexed by
     level (level n is the input row, level 0 the apex): the base triangle
     ``base_tri[level][j]`` and the k - 1 error triangles
-    ``err_tris[f][level][j]``.
+    ``err_tris[f][level][j]``.  The products are conftest's ``two_prod``,
+    the Dekker product that the kernel spells out in place.
     """
     n = len(coeffs) - 1
     r_hat, rho = two_sum(1.0, -s)
     assert Fraction(r_hat) + Fraction(rho) == 1 - Fraction(s)
     base = list(coeffs)
-    errs = [[0.0] * (n + 1) for _ in range(k - 1)]
+    # A CountingFloat s makes counted zeros, as the kernel's zeros are.
+    zero = getattr(s, "zero_like", float)()
+    errs = [[zero] * (n + 1) for _ in range(k - 1)]
     base_tri = [base]
     err_tris = [[tri] for tri in errs]
     for level in range(n - 1, -1, -1):
@@ -368,7 +374,7 @@ class TestCompDeCasteljauK:
             assert all(type(t) is float for t in terms)
             assert comp_de_casteljau_k(QUARTIC, 0.7, k) == sum_k(terms, k)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_cascade_matches_shadow_replay(self, k):
         rng = random.Random(100 + k)
         for _ in range(8):
@@ -399,9 +405,10 @@ class TestCompDeCasteljauK:
 
 class TestEftCallSites:
     """perfbench traces the EFT layer by rebinding ``casteljau.evaluate``'s
-    module globals ``two_sum``, ``two_prod`` and ``sum_k``.  A module-level
-    alias, bound once at import, would hide the kernel's calls from the
-    tracer; a local bound from the globals at each call does not."""
+    module globals ``two_sum`` and ``sum_k``.  The kernel spells out every
+    EFT of its loops, so the tracer sees one ``two_sum`` per K >= 2
+    evaluation, for r_hat and rho, one ``sum_k`` per evaluation, and no
+    ``two_prod`` at all."""
 
     def test_kernel_calls_the_module_globals(self, monkeypatch):
         calls = Counter()
@@ -413,20 +420,68 @@ class TestEftCallSites:
 
             return wrapper
 
-        for name, fn in (("two_sum", two_sum), ("two_prod", two_prod), ("sum_k", sum_k)):
+        assert "two_prod" not in vars(evaluate)
+        for name, fn in (("two_sum", two_sum), ("sum_k", sum_k)):
             monkeypatch.setattr(evaluate, name, counted(name, fn))
         for n in range(9):
-            t_n = n * (n + 1) // 2
             coeffs = [(-1.0) ** j * (1.0 + j / 7) for j in range(n + 1)]
-            for k in range(1, 7):
+            for k in range(1, 9):
                 calls.clear()
                 comp_de_casteljau_k(coeffs, 0.3, k)
-                assert calls["sum_k"] == 1
-                if k == 1:
-                    assert calls["two_sum"] == calls["two_prod"] == 0
-                    continue
-                assert calls["two_prod"] == t_n * (3 * k - 4), (n, k)
-                assert calls["two_sum"] == 1 + t_n * (1 + 5 * (k - 2) * (k - 1) // 2), (n, k)
+                assert calls["sum_k"] == 1, (n, k)
+                assert calls["two_sum"] == (0 if k == 1 else 1), (n, k)
+
+    def test_triangle_loops_call_no_helper(self):
+        # A helper called per entry (a split, an EFT) costs CPython more than
+        # its flops, so the bodies of the loops over the triangle levels, at
+        # K = 1 and at K >= 2, may call only range, iter, next and list
+        # methods.  A loop header runs once, and the final check of the
+        # terms is no triangle loop.
+        tree = ast.parse(Path(evaluate.__file__).read_text(encoding="utf-8"))
+        (kernel,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "leading_terms"
+        ]
+        loops = [
+            node
+            for node in ast.walk(kernel)
+            if isinstance(node, ast.For) and getattr(node.target, "id", None) == "level"
+        ]
+        assert len(loops) == 2
+        calls = [
+            node.func
+            for loop in loops
+            for statement in loop.body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Call)
+        ]
+        assert calls
+        bad = [
+            ast.unparse(func)
+            for func in calls
+            if not (isinstance(func, ast.Name) and func.id in ("range", "iter", "next"))
+            and not (isinstance(func, ast.Attribute) and func.attr in dir(list))
+        ]
+        assert not bad, f"the triangle loops call {bad}"
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_ledger_matches_replay_by_kind(self, n):
+        # The replay calls two_sum and conftest's two_prod where the kernel
+        # spells them out.  Equal tallies of each kind and equal bits show
+        # that the rewrite adds, drops or rebooks no operation.
+        coeffs = [(-1.0) ** j * (j + 1) / 7 for j in range(n + 1)]
+        for k in range(2, 7):
+            kernel, replay = FlopCounter(), FlopCounter()
+            terms = leading_terms(
+                [CountingFloat(c, kernel) for c in coeffs], CountingFloat(0.3, kernel), k
+            )
+            base_tri, err_tris = replay_cascade(
+                [CountingFloat(c, replay) for c in coeffs], CountingFloat(0.3, replay), k
+            )
+            assert kernel.ledger() == replay.ledger(), (n, k)
+            want = entry(base_tri, err_tris, 0, 0)
+            assert [t.hex() for t in terms] == [t.hex() for t in want], (n, k)
 
 
 class TestHorner:

@@ -621,8 +621,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     # API that only tests call is deleted or moved into the tests.  The
     # re-export in __init__ is not a use, and neither is a test.  Exempt:
     # two_prod_fma, kept public on purpose, because gate 2 proves it
-    # bit-identical to two_prod and the planned fma product EFT (ROADMAP.md)
-    # would put it to work in the kernel.
+    # bit-identical to Dekker's product, which the kernel spells out, and
+    # the planned fma product EFT (ROADMAP.md) would put it to work there.
     used = set().union(*map(_names_used, _callers()))
     unused = set(casteljau.__all__) - used - {"two_prod_fma"}
     assert not unused, f"only tests call {sorted(unused)}"
