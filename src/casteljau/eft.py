@@ -11,9 +11,9 @@ overflow occurs, and for the product transforms provided no underflow occurs
 in the partial products; then ``abs(error) <= u * abs(result)`` with
 u = 2**-53.
 
-The de Casteljau kernel (:mod:`.evaluate`) calls no EFT in its loops: in
-CPython a call costs more than the flops inside, so it spells out two_sum
-and Dekker's product, both operands split by ``_SPLITTER``, in place.
+The de Casteljau kernel (:mod:`.evaluate`) calls no EFT in its loops: it
+is generated once per K with two_sum and Dekker's product, both operands
+split by ``_SPLITTER``, written out in place.
 The kernels are branch free and use only ``+``, ``-`` and ``*`` on the
 operands, in a fixed order.  Nothing here may be re-associated or contracted
 into fused operations; the intermediate roundings are the point.  Arithmetic

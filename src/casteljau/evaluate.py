@@ -11,9 +11,10 @@ is their K-fold compensated sum, ``sum_k(leading_terms(p, s, k), k)``,
 which behaves as if computed in K times the working precision; K = 2 is
 the classic once-compensated algorithm.  A triangle entry (level, j) is
 the apex of the triangle of its sub-row ``p[j : j + n - level + 1]``, so
-no triangle is kept.  The kernel's loops call no EFT: each two_sum and
-each Dekker product (both operands split) is spelled out in place,
-operation for operation, since in CPython a call costs more than its flops.
+no triangle is kept.  The kernel is generated once per K: one
+straight-line stage per triangle, each two_sum and Dekker product (both
+operands split) written out in place and every error a named local, as in
+CPython a call, a list or an iterator costs more than its flops.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
@@ -30,11 +31,14 @@ term last) and must not be re-associated; the error analysis depends on it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .eft import _SPLITTER, _check_finite, _check_k, sum_k, two_sum
 
 _INVALID = "comp_de_casteljau_k coefficients must be finite"
+# The kernel of each K, compiled on first use.  Keyed by K alone, it holds
+# code, never data: no value outlives the call that computed it.
+_KERNELS: dict[int, Callable[[list[float], float], tuple[float, ...]]] = {}
 
 
 def _number(c: object, name: str) -> float:
@@ -52,16 +56,75 @@ def _coefficients(p: Sequence[float], name: str) -> list[float]:
     return row
 
 
-def _zero_like(x: float) -> float:
-    # Error triangles start as genuine zeros.  Derive them from s so that an
-    # instrumenting float subclass sees every operation they later enter.
-    maker = getattr(x, "zero_like", None)
-    return maker() if maker is not None else 0.0
-
-
 def _check_point(s: float) -> None:
     if not math.isfinite(s):
         raise ValueError(f"evaluation point s must be finite, got {s!r}")
+
+
+def _two_sum(y: str, a: str, b: str, err: str, store: str = "") -> list[str]:
+    # two_sum's 6 flops: y + err == a + b.  store is a slot also given y.
+    return [f"{store}{y} = {a} + {b}", f"z = {y} - {a}", f"{err} = ({a} - ({y} - z)) + ({b} - z)"]
+
+
+def _two_prod(x: str, a: str, b: str, err: str) -> list[str]:
+    # Dekker's 17-flop product, both operands split: x + err == a * b.
+    return [
+        f"{x} = {a} * {b}",
+        f"al = {a} - (ah := (z := {a} * _SPLITTER) - (z - {a}))",
+        f"bl = {b} - (bh := (z := {b} * _SPLITTER) - (z - {b}))",
+        f"{err} = al * bl - ((({x} - ah * bh) - al * bh) - ah * bl)",
+    ]
+
+
+def _kernel_source(k: int) -> str:
+    # t0 is the base triangle, t1..t{k-1} the error triangles, each a row
+    # overwritten in place: with j ascending, (level + 1, j + 1) is read
+    # before (level, j) replaces it.  Stage f hands triangle f + 1 the errors
+    # e{f+1}_0, e{f+1}_1, ... in production order, part of the bits.  Error
+    # triangles start as zeros made by s, so an instrumenting float subclass
+    # sees every operation they later enter.
+    rows = [f"t{f}" for f in range(k)]
+    if k == 1:
+        head = ["r_hat = 1.0 - s"]
+        body = ["t0[j] = (r_hat * t0[j]) + (s * t0[j + 1])"]
+    else:
+        head = ["r_hat, rho = two_sum(1.0, -s)", "zero = getattr(s, 'zero_like', float)()"]
+        head += [f"{t} = [zero] * len(t0)" for t in rows[1:]]
+        body = [
+            "delta_b, b = t0[j], t0[j + 1]",
+            *_two_prod("pr", "r_hat", "delta_b", "e1_0"),
+            *_two_prod("ps", "s", "b", "e1_1"),
+            *_two_sum("y", "pr", "ps", "e1_2", store="t0[j] = "),
+        ]
+        for f in range(1, k - 1):
+            # Local error of stage f, sum(e) left to right plus rho * delta_b,
+            # then the update of triangle f, keeping every residual.
+            e = [f"e{f}_{i}" for i in range(5 * f - 2)]
+            eta = [f"e{f + 1}_{i}" for i in range(5 * f + 3)]
+            l_hat = e[0]
+            for i, x in enumerate(e[1:]):
+                body += _two_sum(f"l{f}_{i}", l_hat, x, eta[i])
+                l_hat = f"l{f}_{i}"
+            body += [
+                *_two_prod("pr", "rho", "delta_b", eta[-6]),
+                *_two_sum("y", l_hat, "pr", eta[-5]),
+                f"delta_b, b = t{f}[j], t{f}[j + 1]",
+                *_two_prod("ps", "s", "b", eta[-4]),
+                *_two_sum("part", "y", "ps", eta[-3]),
+                *_two_prod("pr", "r_hat", "delta_b", eta[-2]),
+                *_two_sum("y", "part", "pr", eta[-1], store=f"t{f}[j] = "),
+            ]
+        # The last stage runs the same chain with its residuals dropped.
+        t, e = rows[-1], " + ".join(f"e{k - 1}_{i}" for i in range(5 * k - 7))
+        body.append(f"{t}[j] = {e} + (rho * delta_b) + (s * {t}[j + 1]) + (r_hat * {t}[j])")
+    return "\n".join([
+        "def kernel(t0, s):",
+        *[f"    {line}" for line in head],
+        "    for level in range(len(t0) - 2, -1, -1):",
+        "        for j in range(level + 1):",
+        *[f"            {line}" for line in body],
+        f"    return {', '.join(f'{t}[0]' for t in rows)},",
+    ])
 
 
 def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
@@ -78,88 +141,20 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     coeffs = _coefficients(p, "comp_de_casteljau_k")
     _check_k(k)
     _check_point(s)
-    if k == 1:
-        r = 1.0 - s
-        row = coeffs
-        for level in range(len(row) - 2, -1, -1):
-            row = [(r * row[j]) + (s * row[j + 1]) for j in range(level + 1)]
-        overflow = "K=1 evaluation overflowed the float range"
-        return (_check_finite(row[0], coeffs, _INVALID, overflow),)
-
-    n = len(coeffs) - 1
-    r_hat, rho = two_sum(1.0, -s)
-    zero = _zero_like(s)
-    # Entry (level, j) overwrites (level + 1, j) in place: with j ascending,
-    # (level + 1, j + 1) is read before it is overwritten.  The copy keeps
-    # coeffs intact for _check_finite.
-    base = coeffs[:]
-    *stages, last = [[zero] * (n + 1) for _ in range(k - 1)]
-    # Each EFT below is two_sum's 6 flops or Dekker's 17-flop product, both
-    # operands split, written out with z as scratch.  The comment on its
-    # first line is the exact identity that its lines establish.
-    for level in range(n - 1, -1, -1):
-        for j in range(level + 1):
-            delta_b, b = base[j], base[j + 1]
-            pr = r_hat * delta_b  # pr + pr_err == r_hat * delta_b
-            al = r_hat - (ah := (z := r_hat * _SPLITTER) - (z - r_hat))
-            bl = delta_b - (bh := (z := delta_b * _SPLITTER) - (z - delta_b))
-            pr_err = al * bl - (((pr - ah * bh) - al * bh) - ah * bl)
-            ps = s * b  # ps + ps_err == s * b
-            al = s - (ah := (z := s * _SPLITTER) - (z - s))
-            bl = b - (bh := (z := b * _SPLITTER) - (z - b))
-            ps_err = al * bl - (((ps - ah * bh) - al * bh) - ah * bl)
-            base[j] = y = pr + ps  # y + sigma == pr + ps
-            z = y - pr
-            e = [pr_err, ps_err, (pr - (y - z)) + (ps - z)]
-            for tri in stages:
-                # Local error of this stage: sum(e) + rho * delta_b, left to
-                # right, keeping every fresh residual in production order.
-                # eta is the next stage's e, so its order is part of the bits.
-                chain = iter(e)
-                l_hat = next(chain)
-                eta = []
-                for x in chain:
-                    y = l_hat + x  # y + t == l_hat + x
-                    z = y - l_hat
-                    eta.append((l_hat - (y - z)) + (x - z))
-                    l_hat = y
-                pr = rho * delta_b  # pr + t_rho == rho * delta_b
-                al = rho - (ah := (z := rho * _SPLITTER) - (z - rho))
-                bl = delta_b - (bh := (z := delta_b * _SPLITTER) - (z - delta_b))
-                t_rho = al * bl - (((pr - ah * bh) - al * bh) - ah * bl)
-                y = l_hat + pr  # y + t_l == l_hat + pr
-                z = y - l_hat
-                t_l = (l_hat - (y - z)) + (pr - z)
-                delta_b, b = tri[j], tri[j + 1]
-                ps = s * b  # ps + t1 == s * b
-                al = s - (ah := (z := s * _SPLITTER) - (z - s))
-                bl = b - (bh := (z := b * _SPLITTER) - (z - b))
-                t1 = al * bl - (((ps - ah * bh) - al * bh) - ah * bl)
-                part = y + ps  # part + t2 == y + ps
-                z = part - y
-                t2 = (y - (part - z)) + (ps - z)
-                pr = r_hat * delta_b  # pr + t3 == r_hat * delta_b
-                al = r_hat - (ah := (z := r_hat * _SPLITTER) - (z - r_hat))
-                bl = delta_b - (bh := (z := delta_b * _SPLITTER) - (z - delta_b))
-                t3 = al * bl - (((pr - ah * bh) - al * bh) - ah * bl)
-                tri[j] = y = part + pr  # y + t4 == part + pr
-                z = y - part
-                eta += (t_rho, t_l, t1, t2, t3, (part - (y - z)) + (pr - z))
-                e = eta
-            # The last stage runs the same chain with its residuals dropped.
-            chain = iter(e)
-            l_hat = next(chain)
-            for x in chain:
-                l_hat = l_hat + x
-            last[j] = (
-                l_hat + (rho * delta_b) + (s * last[j + 1]) + (r_hat * last[j])
-            )
-
-    terms = (base[0], *[tri[0] for tri in stages], last[0])
-    limit = "the kernel's Dekker product needs every operand below 2**996"
-    overflow = f"K={k} evaluation overflowed the float range; {limit}"
+    kernel = _KERNELS.get(k)
+    if kernel is None:
+        # Compiled from k alone.  It reads two_sum and _SPLITTER from this
+        # module's globals, where a tracer may rebind them.
+        namespace: dict = {}
+        exec(compile(_kernel_source(k), f"<kernel K={k}>", "exec"), globals(), namespace)
+        kernel = _KERNELS[k] = namespace["kernel"]
+    # The kernel overwrites its copy; coeffs stays intact for _check_finite.
+    terms = kernel(coeffs[:], s)
     for t in terms:
-        _check_finite(t, coeffs, _INVALID, overflow)
+        if not math.isfinite(t):
+            limit = "; the kernel's Dekker product needs every operand below 2**996"
+            overflow = f"K={k} evaluation overflowed the float range{limit if k > 1 else ''}"
+            _check_finite(t, coeffs, _INVALID, overflow)
     return terms
 
 
@@ -168,7 +163,7 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
 
     The value is ``sum_k`` of the K :func:`leading_terms`.  ``k=1`` is the
     plain triangle, 3*T_n + 1 flops for degree n (T_n the n-th triangular
-    number; ``sum_k`` of one term costs none), with an absolute error of at
+    number; its one term is the value), with an absolute error of at
     most g(3n) * ptilde(s) for s in [0, 1], where g(m) = m*u/(1 - m*u) and
     ptilde sums the absolute coefficients against the basis.  ``k=2`` is
     the classic compensated form.  The relative error stays near u until
@@ -182,7 +177,8 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     raises OverflowError.  An s outside [0, 1] is extrapolation: no error
     bound, and the oracle refuses it.
     """
-    return sum_k(leading_terms(p, s, k), k)
+    terms = leading_terms(p, s, k)
+    return terms[0] if k == 1 else sum_k(terms, k)
 
 
 def horner(coeffs: Sequence[float], s: float) -> float:

@@ -405,10 +405,10 @@ class TestCompDeCasteljauK:
 
 class TestEftCallSites:
     """perfbench traces the EFT layer by rebinding ``casteljau.evaluate``'s
-    module globals ``two_sum`` and ``sum_k``.  The kernel spells out every
-    EFT of its loops, so the tracer sees one ``two_sum`` per K >= 2
-    evaluation, for r_hat and rho, one ``sum_k`` per evaluation, and no
-    ``two_prod`` at all."""
+    module globals ``two_sum`` and ``sum_k``.  The generated kernel spells
+    out every EFT of its loops, so the tracer sees, per K >= 2 evaluation,
+    one ``two_sum``, for r_hat and rho, and one ``sum_k``; a K = 1
+    evaluation calls neither, and no ``two_prod`` exists."""
 
     def test_kernel_calls_the_module_globals(self, monkeypatch):
         calls = Counter()
@@ -428,50 +428,63 @@ class TestEftCallSites:
             for k in range(1, 9):
                 calls.clear()
                 comp_de_casteljau_k(coeffs, 0.3, k)
-                assert calls["sum_k"] == 1, (n, k)
-                assert calls["two_sum"] == (0 if k == 1 else 1), (n, k)
+                want = 0 if k == 1 else 1
+                assert calls["sum_k"] == calls["two_sum"] == want, (n, k)
+
+    @staticmethod
+    def _level_loops(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.For) and getattr(node.target, "id", None) == "level"
+        ]
 
     def test_triangle_loops_call_no_helper(self):
         # A helper called per entry (a split, an EFT) costs CPython more than
-        # its flops, so the bodies of the loops over the triangle levels, at
-        # K = 1 and at K >= 2, may call only range, iter, next and list
-        # methods.  A loop header runs once, and the final check of the
-        # terms is no triangle loop.
+        # its flops, so the body of the loop over the triangle levels of each
+        # generated kernel may call only range, len, iter, next and list
+        # methods.  Its header runs once, and so does the kernel's set-up.
+        for k in range(1, 9):
+            (loop,) = self._level_loops(ast.parse(evaluate._kernel_source(k)))
+            calls = [node.func for node in ast.walk(loop) if isinstance(node, ast.Call)]
+            calls.remove(loop.iter.func)
+            assert calls, k
+            bad = [
+                ast.unparse(func)
+                for func in calls
+                if not (isinstance(func, ast.Name) and func.id in ("range", "len", "iter", "next"))
+                and not (isinstance(func, ast.Attribute) and func.attr in dir(list))
+            ]
+            assert not bad, f"the K={k} triangle loops call {bad}"
+
+    def test_every_triangle_loop_is_generated(self):
+        # The guard above reads the generated source, so no triangle loop
+        # may be left in the module itself.
         tree = ast.parse(Path(evaluate.__file__).read_text(encoding="utf-8"))
-        (kernel,) = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "leading_terms"
-        ]
-        loops = [
-            node
-            for node in ast.walk(kernel)
-            if isinstance(node, ast.For) and getattr(node.target, "id", None) == "level"
-        ]
-        assert len(loops) == 2
-        calls = [
-            node.func
-            for loop in loops
-            for statement in loop.body
-            for node in ast.walk(statement)
-            if isinstance(node, ast.Call)
-        ]
-        assert calls
-        bad = [
-            ast.unparse(func)
-            for func in calls
-            if not (isinstance(func, ast.Name) and func.id in ("range", "iter", "next"))
-            and not (isinstance(func, ast.Attribute) and func.attr in dir(list))
-        ]
-        assert not bad, f"the triangle loops call {bad}"
+        assert self._level_loops(tree) == []
+
+    def test_one_kernel_per_k(self, monkeypatch):
+        # The cache holds one function per K that was called, whatever the
+        # polynomial, its degree or its float type: code, never data.
+        monkeypatch.setattr(evaluate, "_KERNELS", {})
+        seen = {}
+        for k in (3, 1, 5):
+            for n in range(6):
+                coeffs = [(j + 1) / 3 for j in range(n + 1)]
+                leading_terms(coeffs, 0.3, k)
+                count_evaluation_flops(coeffs, 0.6, k)
+                seen.setdefault(k, set()).add(id(evaluate._KERNELS[k]))
+        assert sorted(evaluate._KERNELS) == [1, 3, 5]
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert all(type(f) is type(leading_terms) for f in evaluate._KERNELS.values())
 
     @pytest.mark.parametrize("n", range(9))
     def test_ledger_matches_replay_by_kind(self, n):
         # The replay calls two_sum and conftest's two_prod where the kernel
         # spells them out.  Equal tallies of each kind and equal bits show
-        # that the rewrite adds, drops or rebooks no operation.
+        # that the generator adds, drops, reuses or rebooks no operation.
         coeffs = [(-1.0) ** j * (j + 1) / 7 for j in range(n + 1)]
-        for k in range(2, 7):
+        for k in range(2, 17):
             kernel, replay = FlopCounter(), FlopCounter()
             terms = leading_terms(
                 [CountingFloat(c, kernel) for c in coeffs], CountingFloat(0.3, kernel), k

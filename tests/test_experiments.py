@@ -511,23 +511,32 @@ def _other_interpreters() -> list[Path]:
     return found
 
 
-# Runs every experiment named on the command line, writing each to DIR/NAME.
-_RUN_EXPERIMENTS = """
+# Every K the CLI accepts, so that each interpreter compiles and runs every
+# generated kernel.
+ALL_K = ["condition-sweep", "--k", "1,2,3,4,5,6,7,8"]
+
+# Runs every experiment named on the command line, writing each to DIR/NAME,
+# then the condition sweep at ALL_K to DIR/all-k.
+_RUN_EXPERIMENTS = f"""
 import sys
 from casteljau.cli import main
 out, names = sys.argv[1], sys.argv[2:]
-sys.exit(max(main([name, "--out", f"{out}/{name}"]) for name in names))
+codes = [main([name, "--out", f"{{out}}/{{name}}"]) for name in names]
+sys.exit(max(codes + [main({ALL_K!r} + ["--out", f"{{out}}/all-k"])]))
 """
 
 
 def test_every_installed_interpreter_gives_the_same_bytes(tmp_path):
     # The CSVs promise the same bytes on every platform; each interpreter
-    # runs the five experiments from this source tree, one child each.
+    # runs the five experiments and the sweep at ALL_K from this source
+    # tree, one child each.
     pythons = _other_interpreters()
     if not pythons:
         pytest.skip("no other CPython >= 3.10 under ~/.pyenv/versions")
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     golden = (Path(__file__).parent / "data" / "root_neighborhood.csv").read_bytes()
+    assert main([*ALL_K, "--out", str(tmp_path / "all-k")]) == 0
+    all_k = (tmp_path / "all-k").read_bytes()
     names = sorted(cli._RUNNERS)
     for python in pythons:
         out = tmp_path / python.parts[-3]
@@ -542,6 +551,7 @@ def test_every_installed_interpreter_gives_the_same_bytes(tmp_path):
         assert (out / "root-neighborhood").read_bytes() == golden, python
         for name, digest in OUTPUT_DIGESTS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (python, name)
+        assert (out / "all-k").read_bytes() == all_k, python
 
 
 class TestExactBookkeeping:
