@@ -8,7 +8,7 @@ exact rational oracle (:mod:`.oracle`), flop-count instrumentation
 """
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
-from .eft import sum_k, two_prod_fma, two_sum
+from .eft import sum_k, two_sum
 from .evaluate import comp_de_casteljau_k, flop_count, horner, leading_terms
 from .oracle import (
     ConditionReport,
@@ -38,6 +38,5 @@ __all__ = [
     "p_tilde",
     "relative_error",
     "sum_k",
-    "two_prod_fma",
     "two_sum",
 ]

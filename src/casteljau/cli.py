@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .eft import MAX_K
 from .experiments import (
     CheckFailed,
     render_csv,
@@ -35,8 +36,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if any(not 1 <= k <= 8 for k in values):
-        raise argparse.ArgumentTypeError(f"k values must lie in 1..8, got {text!r}")
+    if any(not 1 <= k <= MAX_K for k in values):
+        raise argparse.ArgumentTypeError(f"k values must lie in 1..{MAX_K}, got {text!r}")
     if len(set(values)) != len(values):
         raise argparse.ArgumentTypeError(f"k values must not repeat, got {text!r}")
     return values
@@ -53,7 +54,7 @@ def _parse_points(text: str) -> int:
 
 
 _FLAGS = {
-    "k_list": ("--k", _parse_k_list, "LIST", "comma-separated distinct K values, each in 1..8"),
+    "k_list": ("--k", _parse_k_list, "LIST", f"comma-separated distinct K values in 1..{MAX_K}"),
     "points": ("--points", _parse_points, "N", "number of sweep points per window, at least 2"),
 }
 

@@ -4,38 +4,40 @@ An error-free transformation (EFT) returns a floating point result together
 with the exact rounding error of the operation that produced it, as a plain
 2-tuple ``(result, error)`` unpacked at the call site.  "Exact" is meant
 literally: for two_sum, ``result + error`` equals ``a + b`` as a real number
-(checkable in rational arithmetic), and likewise ``a * b`` for the product
-transforms.
-These identities hold in IEEE-754 binary64 round-to-nearest provided no
-overflow occurs, and for the product transforms provided no underflow occurs
-in the partial products; then ``abs(error) <= u * abs(result)`` with
-u = 2**-53.
+(checkable in rational arithmetic).  This holds in IEEE-754 binary64
+round-to-nearest provided no overflow occurs; then
+``abs(error) <= u * abs(result)`` with u = 2**-53.
 
-The de Casteljau kernel (:mod:`.evaluate`) calls no EFT in its loops: it
-is generated once per K with two_sum and Dekker's product, both operands
-split by ``_SPLITTER``, written out in place.
-The kernels are branch free and use only ``+``, ``-`` and ``*`` on the
-operands, in a fixed order.  Nothing here may be re-associated or contracted
+The one product EFT is Dekker's, exact provided no partial product
+underflows and each operand is below 2**996.  No function here computes
+it: the de Casteljau kernel (:mod:`.evaluate`) is generated once per K with
+it, both operands split by ``_SPLITTER``, and two_sum written out in place.
+All of it is branch free and uses only ``+``, ``-`` and ``*`` on the
+operands, in a fixed order.  Nothing may be re-associated or contracted
 into fused operations; the intermediate roundings are the point.  Arithmetic
 is done through the operands' own operators, so a float subclass (used by the
 flop-count instrumentation) passes through untouched.  This module also owns
-the k check and the finite-or-refuse check, ``_check_k`` and
-``_check_finite``, that the package's float-side entry points share.
+the k check, with the largest K, ``MAX_K``, and the finite-or-refuse check,
+``_check_k`` and ``_check_finite``, that the package's float-side entry
+points share.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 # 2**27 + 1, the Dekker splitter for a 53-bit significand.
 _SPLITTER = 134217729.0
+# The largest K.  The kernel for K, about 7.5*K**2 lines, compiles on first use.
+MAX_K = 8
 
 
 def _check_k(k: int) -> None:
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}, got {k}")
 
 
 def _check_finite(value: float, inputs: Sequence[float], invalid: str, overflow: str) -> float:
@@ -62,37 +64,6 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return result, error
 
 
-try:
-    from math import fma as _fma  # Python >= 3.13
-except ImportError:
-
-    def _fma(x: float, y: float, z: float) -> float:
-        # Exact product plus addend in rationals, then one correct rounding.
-        # float(Fraction) rounds to nearest, ties to even, which is exactly
-        # the single rounding a hardware fma performs.  two_prod_fma calls it
-        # only for a finite product, whose error converts without overflow.
-        return float(Fraction(x) * Fraction(y) + Fraction(z))
-
-
-def two_prod_fma(a: float, b: float) -> tuple[float, float]:
-    """EFT of multiplication via fused multiply-add: ``(fl(a*b), error)``, 2 flops.
-
-    Bitwise identical to Dekker's product, the 17-flop form that the de
-    Casteljau kernel spells out, wherever neither over- nor underflows.
-    ``math.fma`` only exists on Python >= 3.13, so on older interpreters the
-    fused operation is emulated by rounding the exact rational
-    ``a*b - result`` to nearest; the emulation returns the same bits a
-    hardware FMA would and costs far more than 2 flops.  The kernel and the
-    paper's flop count use Dekker's product.  A product that is not finite
-    raises on every interpreter: ValueError if an operand is inf or nan,
-    else OverflowError.
-    """
-    result = a * b
-    invalid = "two_prod_fma operands must be finite"
-    _check_finite(result, (a, b), invalid, "two_prod_fma overflowed the float range")
-    return result, _fma(a, b, -result)
-
-
 def sum_k(p: Sequence[float], k: int) -> float:
     """Sum a vector as if carried out in ``k`` times the working precision.
 
@@ -105,7 +76,8 @@ def sum_k(p: Sequence[float], k: int) -> float:
 
         abs(s - e) <= (u + 3*g(n-1)**2) * abs(e) + g(2n-2)**k * sum(abs(p))
 
-    where e is the exact sum and g(m) = m*u/(1 - m*u).
+    where e is the exact sum and g(m) = m*u/(1 - m*u).  ``k`` is at most
+    ``MAX_K``, the limit the evaluator shares.
 
     A result that is not finite raises: ValueError if an entry is inf or
     nan, else OverflowError (a partial sum left the float range).

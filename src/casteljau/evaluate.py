@@ -11,10 +11,11 @@ is their K-fold compensated sum, ``sum_k(leading_terms(p, s, k), k)``,
 which behaves as if computed in K times the working precision; K = 2 is
 the classic once-compensated algorithm.  A triangle entry (level, j) is
 the apex of the triangle of its sub-row ``p[j : j + n - level + 1]``, so
-no triangle is kept.  The kernel is generated once per K: one
-straight-line stage per triangle, each two_sum and Dekker product (both
-operands split) written out in place and every error a named local, as in
-CPython a call, a list or an iterator costs more than its flops.
+no triangle is kept.  The kernel is generated once per K, for K up to
+``MAX_K``: one straight-line stage per triangle, each two_sum and Dekker
+product (both operands split) written out in place from a template and
+every error a named local, as in CPython a call, a list or an iterator
+costs more than its flops.  It calls no EFT and reads no global.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
@@ -22,7 +23,7 @@ comparisons, along with the closed-form flop counts of each K.
 A polynomial is a plain sequence of coefficients.  The point s is checked
 up front by ``_check_point``; the coefficients only when a leading term is
 not finite, since finite terms prove them finite.  That check and the k
-check are :mod:`.eft`'s, which ``sum_k`` shares.
+check, with its largest K, are :mod:`.eft`'s, which ``sum_k`` shares.
 
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .eft import _SPLITTER, _check_finite, _check_k, sum_k, two_sum
+from .eft import _SPLITTER, _check_finite, _check_k, sum_k
 
 _INVALID = "comp_de_casteljau_k coefficients must be finite"
 # The kernel of each K, compiled on first use.  Keyed by K alone, it holds
@@ -70,8 +71,8 @@ def _two_prod(x: str, a: str, b: str, err: str) -> list[str]:
     # Dekker's 17-flop product, both operands split: x + err == a * b.
     return [
         f"{x} = {a} * {b}",
-        f"al = {a} - (ah := (z := {a} * _SPLITTER) - (z - {a}))",
-        f"bl = {b} - (bh := (z := {b} * _SPLITTER) - (z - {b}))",
+        f"al = {a} - (ah := (z := {a} * {_SPLITTER!r}) - (z - {a}))",
+        f"bl = {b} - (bh := (z := {b} * {_SPLITTER!r}) - (z - {b}))",
         f"{err} = al * bl - ((({x} - ah * bh) - al * bh) - ah * bl)",
     ]
 
@@ -88,7 +89,7 @@ def _kernel_source(k: int) -> str:
         head = ["r_hat = 1.0 - s"]
         body = ["t0[j] = (r_hat * t0[j]) + (s * t0[j + 1])"]
     else:
-        head = ["r_hat, rho = two_sum(1.0, -s)", "zero = getattr(s, 'zero_like', float)()"]
+        head = [*_two_sum("r_hat", "1.0", "-s", "rho"), "zero = getattr(s, 'zero_like', float)()"]
         head += [f"{t} = [zero] * len(t0)" for t in rows[1:]]
         body = [
             "delta_b, b = t0[j], t0[j + 1]",
@@ -136,17 +137,17 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     the last stage accumulates without capture.  The terms are the apex of
     the base triangle, then those of the k - 1 error triangles.  Checks and
     raises as :func:`comp_de_casteljau_k` does, under that name: a
-    non-finite term is a non-finite coefficient or an overflow.
+    non-finite term is a non-finite coefficient or an overflow.  ``k`` is at
+    most ``MAX_K``, the limit :func:`sum_k` and :func:`flop_count` share.
     """
     coeffs = _coefficients(p, "comp_de_casteljau_k")
     _check_k(k)
     _check_point(s)
     kernel = _KERNELS.get(k)
     if kernel is None:
-        # Compiled from k alone.  It reads two_sum and _SPLITTER from this
-        # module's globals, where a tracer may rebind them.
+        # Compiled from k alone, in a namespace of its own: it reads no global.
         namespace: dict = {}
-        exec(compile(_kernel_source(k), f"<kernel K={k}>", "exec"), globals(), namespace)
+        exec(compile(_kernel_source(k), f"<kernel K={k}>", "exec"), namespace)
         kernel = _KERNELS[k] = namespace["kernel"]
     # The kernel overwrites its copy; coeffs stays intact for _check_finite.
     terms = kernel(coeffs[:], s)
@@ -171,10 +172,10 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
 
     ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
     other numbers become floats, a string raises TypeError.  Raises
-    ValueError for a non-finite coefficient or s, or a k that is not a
-    positive int.  An intermediate beyond the float range (for k >= 2 also
-    beyond |x| < 2**996, which the kernel's Dekker product needs)
-    raises OverflowError.  An s outside [0, 1] is extrapolation: no error
+    ValueError for a non-finite coefficient or s, or a k that is not an
+    int in 1..MAX_K (8).  An intermediate beyond the float range (for
+    k >= 2 also beyond |x| < 2**996, which the kernel's Dekker product
+    needs) raises OverflowError.  An s outside [0, 1] is extrapolation: no error
     bound, and the oracle refuses it.
     """
     terms = leading_terms(p, s, k)
@@ -203,6 +204,7 @@ def flop_count(n: int, k: int) -> int:
     The plain triangle (k=1) costs 3*T_n + 1.  For k >= 2 the cascade costs
     (15k**2 + 11k - 34)*T_n + 6k**2 - 11k + 11, counting the split-based
     product transform at 17 flops and the final k-term compensated sum.
+    ``k`` is refused past ``MAX_K``, as the evaluator refuses it.
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"degree n must be a nonnegative integer, got {n}")

@@ -7,20 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casteljau import sum_k, two_prod_fma, two_sum
+from casteljau import sum_k, two_sum
+from casteljau.eft import MAX_K
 
 from conftest import U, gamma, signed_floats, two_prod
 
 # Magnitude window in which no product underflows and nothing overflows, so
 # the exactness contracts hold without caveats.
 eft_floats = signed_floats(2.0**-300, 2.0**300)
-
-
-def dekker_split(a):
-    # Reference split into halves of at most 27 and 26 bits, high + low == a.
-    z = a * 134217729.0
-    high = z - (z - a)
-    return high, a - high
 
 
 class TestTwoSum:
@@ -74,39 +68,6 @@ class TestTwoProd:
         result, error = two_prod(a, b)
         assert abs(Fraction(error)) <= U * abs(Fraction(result))
 
-    @given(eft_floats, eft_floats)
-    def test_inline_splits_match_split(self, a, b):
-        result = a * b
-        ah, al = dekker_split(a)
-        bh, bl = dekker_split(b)
-        error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
-        assert [x.hex() for x in two_prod(a, b)] == [result.hex(), error.hex()]
-
-
-class TestTwoProdFma:
-    def test_trivial_values(self):
-        assert two_prod_fma(1.5, 1.5) == (2.25, 0.0)
-        assert two_prod_fma(0.0, 17.25) == (0.0, 0.0)
-
-    @given(eft_floats, eft_floats)
-    def test_bitwise_equal_to_split_form(self, a, b):
-        assert two_prod_fma(a, b) == two_prod(a, b)
-
-    @pytest.mark.parametrize(
-        "a, b, error, message",
-        [
-            (1e300, 1e300, OverflowError, "two_prod_fma overflowed the float range"),
-            (math.inf, 1.0, ValueError, "two_prod_fma operands must be finite"),
-            (math.nan, 2.0, ValueError, "two_prod_fma operands must be finite"),
-            (0.0, math.inf, ValueError, "two_prod_fma operands must be finite"),
-        ],
-    )
-    def test_nonfinite_product_refused(self, a, b, error, message):
-        # The same refusal with math.fma (Python >= 3.13) and without it.
-        for x, y in ((a, b), (b, a), (-a, b)):
-            with pytest.raises(error, match=f"^{message}$"):
-                two_prod_fma(x, y)
-
 
 class TestVecSum:
     """VecSum, the error-free two_sum pass sum_k applies k - 1 times."""
@@ -158,6 +119,12 @@ class TestSumK:
                 sum_k([1.0], k)
         with pytest.raises(ValueError):
             sum_k([], 2)
+
+    def test_k_past_the_largest_refused(self):
+        # sum_k shares the evaluator's largest K.
+        assert sum_k([2.0**53, 1.0, -(2.0**53)], MAX_K) == 1.0
+        with pytest.raises(ValueError, match=f"^k must be at most {MAX_K}, got 9$"):
+            sum_k([1.0], 9)
 
     def test_non_sequence_rejected(self):
         # sum_k reads p twice; a spent iterator would hide a nan or look empty.

@@ -25,6 +25,7 @@ from casteljau import (
     sum_k,
     two_sum,
 )
+from casteljau.eft import MAX_K
 
 from conftest import check_accuracy_bounds, once_compensated, signed_floats, two_prod
 
@@ -300,6 +301,26 @@ class TestCompDeCasteljauK:
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 comp_de_casteljau_k(CUBIC, 0.5, k)
 
+    def test_k_past_the_largest_refused(self, monkeypatch):
+        # One check and one limit for every entry point that takes k, checked
+        # before a kernel is generated: the cache never holds more than MAX_K.
+        assert MAX_K == 8
+        monkeypatch.setattr(evaluate, "_KERNELS", {})
+        calls = (
+            lambda k: leading_terms(CUBIC, 0.5, k),
+            lambda k: comp_de_casteljau_k(CUBIC, 0.5, k),
+            lambda k: count_evaluation_flops(CUBIC, 0.5, k),
+            lambda k: flop_count(3, k),
+        )
+        for call in calls:
+            for k in range(1, MAX_K + 1):
+                call(k)
+            with pytest.raises(ValueError, match="^k must be at most 8, got 9$"):
+                call(9)
+            with pytest.raises(ValueError, match="^k must be at most 8, got 60$"):
+                call(60)
+        assert sorted(evaluate._KERNELS) == list(range(1, MAX_K + 1))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             comp_de_casteljau_k([], 0.5, 2)
@@ -404,32 +425,34 @@ class TestCompDeCasteljauK:
 
 
 class TestEftCallSites:
-    """perfbench traces the EFT layer by rebinding ``casteljau.evaluate``'s
-    module globals ``two_sum`` and ``sum_k``.  The generated kernel spells
-    out every EFT of its loops, so the tracer sees, per K >= 2 evaluation,
-    one ``two_sum``, for r_hat and rho, and one ``sum_k``; a K = 1
-    evaluation calls neither, and no ``two_prod`` exists."""
+    """The generated kernel spells out every EFT, the two_sum of r_hat and
+    rho included, and is compiled in a namespace of its own, so it reads no
+    module global.  perfbench traces the EFT layer by rebinding
+    ``casteljau.evaluate``'s module globals; of those only ``sum_k`` is
+    left, called once per K >= 2 evaluation and never at K = 1."""
 
     def test_kernel_calls_the_module_globals(self, monkeypatch):
         calls = Counter()
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counted(*args):
+            calls["sum_k"] += 1
+            return sum_k(*args)
 
-            return wrapper
-
-        assert "two_prod" not in vars(evaluate)
-        for name, fn in (("two_sum", two_sum), ("sum_k", sum_k)):
-            monkeypatch.setattr(evaluate, name, counted(name, fn))
+        assert "two_prod" not in vars(evaluate) and "two_sum" not in vars(evaluate)
+        monkeypatch.setattr(evaluate, "sum_k", counted)
         for n in range(9):
             coeffs = [(-1.0) ** j * (1.0 + j / 7) for j in range(n + 1)]
-            for k in range(1, 9):
+            for k in range(1, MAX_K + 1):
                 calls.clear()
                 comp_de_casteljau_k(coeffs, 0.3, k)
-                want = 0 if k == 1 else 1
-                assert calls["sum_k"] == calls["two_sum"] == want, (n, k)
+                assert calls["sum_k"] == (0 if k == 1 else 1), (n, k)
+
+    def test_kernel_reads_no_global(self):
+        # Compiled from its templates alone: the splitter is a literal and
+        # r_hat, rho come from the two_sum template, not from a call.
+        for k in range(1, MAX_K + 1):
+            leading_terms(QUARTIC, 0.3, k)
+            assert set(evaluate._KERNELS[k].__globals__) == {"__builtins__", "kernel"}, k
 
     @staticmethod
     def _level_loops(tree):
@@ -444,7 +467,7 @@ class TestEftCallSites:
         # its flops, so the body of the loop over the triangle levels of each
         # generated kernel may call only range, len, iter, next and list
         # methods.  Its header runs once, and so does the kernel's set-up.
-        for k in range(1, 9):
+        for k in range(1, MAX_K + 1):
             (loop,) = self._level_loops(ast.parse(evaluate._kernel_source(k)))
             calls = [node.func for node in ast.walk(loop) if isinstance(node, ast.Call)]
             calls.remove(loop.iter.func)
@@ -484,7 +507,7 @@ class TestEftCallSites:
         # spells them out.  Equal tallies of each kind and equal bits show
         # that the generator adds, drops, reuses or rebooks no operation.
         coeffs = [(-1.0) ** j * (j + 1) / 7 for j in range(n + 1)]
-        for k in range(2, 17):
+        for k in range(2, MAX_K + 1):
             kernel, replay = FlopCounter(), FlopCounter()
             terms = leading_terms(
                 [CountingFloat(c, kernel) for c in coeffs], CountingFloat(0.3, kernel), k

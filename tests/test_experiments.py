@@ -24,6 +24,7 @@ from casteljau import (
     leading_terms,
 )
 from casteljau.cli import main
+from casteljau.eft import MAX_K
 from casteljau.experiments import (
     CSV_HEADER,
     OCTIC,
@@ -513,7 +514,7 @@ def _other_interpreters() -> list[Path]:
 
 # Every K the CLI accepts, so that each interpreter compiles and runs every
 # generated kernel.
-ALL_K = ["condition-sweep", "--k", "1,2,3,4,5,6,7,8"]
+ALL_K = ["condition-sweep", "--k", ",".join(map(str, range(1, MAX_K + 1)))]
 
 # Runs every experiment named on the command line, writing each to DIR/NAME,
 # then the condition sweep at ALL_K to DIR/all-k.
