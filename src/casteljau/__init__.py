@@ -1,14 +1,14 @@
 """Compensated de Casteljau evaluation of Bernstein-form polynomials.
 
-The package provides error-free transformation kernels (:mod:`.eft`), the
-K-fold compensated triangle evaluator, plain at K = 1 (:mod:`.evaluate`), an
-exact rational oracle (:mod:`.oracle`), flop-count instrumentation
+The package provides compensated summation and input rules (:mod:`.eft`),
+the K-fold compensated triangle evaluator, plain at K = 1 (:mod:`.evaluate`),
+an exact rational oracle (:mod:`.oracle`), flop-count instrumentation
 (:mod:`.counting`), and deterministic accuracy experiments with a CLI
 (:mod:`.experiments`, ``casteljau`` / ``python -m casteljau``).
 """
 
 from .counting import CountingFloat, FlopCounter, count_evaluation_flops
-from .eft import sum_k, two_sum
+from .eft import sum_k
 from .evaluate import comp_de_casteljau_k, flop_count, horner, leading_terms
 from .oracle import (
     ConditionReport,
@@ -38,5 +38,4 @@ __all__ = [
     "p_tilde",
     "relative_error",
     "sum_k",
-    "two_sum",
 ]

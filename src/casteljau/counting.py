@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .evaluate import _check_point, _coefficients, comp_de_casteljau_k
+from .eft import _check_point, _coefficients
+from .evaluate import comp_de_casteljau_k
 
 
 class FlopCounter:
@@ -112,7 +113,7 @@ def count_evaluation_flops(p: Sequence[float], s: float, k: int) -> tuple[float,
     """
     # Checked before wrapping: CountingFloat, like float(), would parse text.
     coeffs = _coefficients(p, "comp_de_casteljau_k")
-    _check_point(s)
+    s = _check_point(s)
     counter = FlopCounter()
     wrapped = [CountingFloat(c, counter) for c in coeffs]
     value = comp_de_casteljau_k(wrapped, CountingFloat(s, counter), k)

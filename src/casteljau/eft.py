@@ -1,25 +1,14 @@
-"""Error-free transformations and K-fold compensated summation.
+"""K-fold compensated summation, and the float side's input rules.
 
-An error-free transformation (EFT) returns a floating point result together
-with the exact rounding error of the operation that produced it, as a plain
-2-tuple ``(result, error)`` unpacked at the call site.  "Exact" is meant
-literally: for two_sum, ``result + error`` equals ``a + b`` as a real number
-(checkable in rational arithmetic).  This holds in IEEE-754 binary64
-round-to-nearest provided no overflow occurs; then
-``abs(error) <= u * abs(result)`` with u = 2**-53.
+``sum_k`` writes out TwoSum, an error-free transformation: ``y = a + b``,
+``z = y - a`` and ``e = (a - (y - z)) + (b - z)`` give ``y + e == a + b``
+exactly in binary64 round-to-nearest when nothing overflows.  Nothing may
+be re-associated or fused, and the operands' own operators do the work,
+so a float subclass (the flop-count instrumentation) passes through.
 
-The one product EFT is Dekker's, exact provided no partial product
-underflows and each operand is below 2**996.  No function here computes
-it: the de Casteljau kernel (:mod:`.evaluate`) is generated once per K with
-it, both operands split by ``_SPLITTER``, and two_sum written out in place.
-All of it is branch free and uses only ``+``, ``-`` and ``*`` on the
-operands, in a fixed order.  Nothing may be re-associated or contracted
-into fused operations; the intermediate roundings are the point.  Arithmetic
-is done through the operands' own operators, so a float subclass (used by the
-flop-count instrumentation) passes through untouched.  This module also owns
-the k check, with the largest K, ``MAX_K``, and the finite-or-refuse check,
-``_check_k`` and ``_check_finite``, that the package's float-side entry
-points share.
+Every rule the float-side entry points apply to their inputs lives here:
+the k check with the largest K, ``MAX_K``; the conversions of a number, of
+coefficients and of the point s to floats; and the finite-or-refuse check.
 """
 
 from __future__ import annotations
@@ -27,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-# 2**27 + 1, the Dekker splitter for a 53-bit significand.
-_SPLITTER = 134217729.0
 # The largest K.  The kernel for K, about 7.5*K**2 lines, compiles on first use.
 MAX_K = 8
 
@@ -38,6 +25,33 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be a positive integer, got {k}")
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}, got {k}")
+
+
+def _number(x: object, rule: str) -> float:
+    # rule reads "<what> must be numbers"; text, which float() parses, is refused.
+    if isinstance(x, (str, bytes, bytearray)):
+        raise TypeError(f"{rule}, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise OverflowError(f"{rule} within the float range") from None
+
+
+def _coefficients(p: Sequence[float], name: str) -> list[float]:
+    # Float subclasses such as CountingFloat pass unchanged.
+    rule = f"{name} coefficients must be numbers"
+    row = [c if isinstance(c, float) else _number(c, rule) for c in p]
+    if not row:
+        raise ValueError(f"{name} needs at least one coefficient")
+    return row
+
+
+def _check_point(s: object) -> float:
+    # s converted as a coefficient is; the message shows s as given.
+    x = s if isinstance(s, float) else _number(s, "evaluation point s must be a number")
+    if not math.isfinite(x):
+        raise ValueError(f"evaluation point s must be finite, got {s!r}")
+    return x
 
 
 def _check_finite(value: float, inputs: Sequence[float], invalid: str, overflow: str) -> float:
@@ -52,43 +66,40 @@ def _check_finite(value: float, inputs: Sequence[float], invalid: str, overflow:
     raise OverflowError(overflow)
 
 
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """EFT of addition: the tuple ``(fl(a+b), error)``, error exact, 6 flops.
-
-    Works for any ordering of magnitudes (no branch on ``abs(a) >= abs(b)``).
-    If a+b overflows the contract is void; no check is made.
-    """
-    result = a + b
-    z = result - a
-    error = (a - (result - z)) + (b - z)
-    return result, error
-
-
 def sum_k(p: Sequence[float], k: int) -> float:
     """Sum a vector as if carried out in ``k`` times the working precision.
 
     This is SumK of Ogita, Rump & Oishi (2005).  Each of ``k - 1`` passes
-    is an error-free sweep of :func:`two_sum` that keeps the exact sum,
-    leaving the running float sum in the last entry and the rounding errors
-    before it; a plain left-to-right reduction follows.  (6k-5)(n-1) flops
-    for an n-vector.  ``k=1`` is the ordinary recursive sum.  The result s
-    satisfies
+    is an error-free sweep of TwoSum, written out in place, that keeps the
+    exact sum, leaving the running float sum in the last entry and the
+    rounding errors before it; a plain left-to-right reduction follows.
+    (6k-5)(n-1) flops for an n-vector.  ``k=1`` is the ordinary recursive
+    sum.  The result s satisfies
 
         abs(s - e) <= (u + 3*g(n-1)**2) * abs(e) + g(2n-2)**k * sum(abs(p))
 
     where e is the exact sum and g(m) = m*u/(1 - m*u).  ``k`` is at most
     ``MAX_K``, the limit the evaluator shares.
 
+    ``p`` is a nonempty sequence of numbers, converted as coefficients are.
     A result that is not finite raises: ValueError if an entry is inf or
     nan, else OverflowError (a partial sum left the float range).
     """
     _check_k(k)
     if len(p) == 0:
         raise ValueError("sum_k requires a nonempty vector")
-    q = list(p)
+    rule = "sum_k entries must be numbers"
+    q = [x if isinstance(x, float) else _number(x, rule) for x in p]
     for _ in range(k - 1):
+        # TwoSum of q[j] and the running sum b, whose slot q[j - 1] gets the error.
+        b = q[0]
         for j in range(1, len(q)):
-            q[j], q[j - 1] = two_sum(q[j], q[j - 1])
+            a = q[j]
+            y = a + b
+            z = y - a
+            q[j - 1] = (a - (y - z)) + (b - z)
+            b = y
+        q[-1] = b
     total = q[0]
     for x in q[1:]:
         total = total + x

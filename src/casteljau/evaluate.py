@@ -12,18 +12,20 @@ which behaves as if computed in K times the working precision; K = 2 is
 the classic once-compensated algorithm.  A triangle entry (level, j) is
 the apex of the triangle of its sub-row ``p[j : j + n - level + 1]``, so
 no triangle is kept.  The kernel is generated once per K, for K up to
-``MAX_K``: one straight-line stage per triangle, each two_sum and Dekker
-product (both operands split) written out in place from a template and
-every error a named local, as in CPython a call, a list or an iterator
-costs more than its flops.  It calls no EFT and reads no global.
+``MAX_K``: one straight-line stage per triangle, each TwoSum and Dekker
+product written out in place from a template and every error a named
+local, as in CPython a call, a list or an iterator costs more than its
+flops.  It calls no EFT and reads no global.  Dekker's product, the one
+product EFT, splits both operands by ``_SPLITTER`` and is exact provided
+no partial product underflows and each operand is below 2**996.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
 
-A polynomial is a plain sequence of coefficients.  The point s is checked
-up front by ``_check_point``; the coefficients only when a leading term is
-not finite, since finite terms prove them finite.  That check and the k
-check, with its largest K, are :mod:`.eft`'s, which ``sum_k`` shares.
+A polynomial is a plain sequence of coefficients.  It and the point s are
+converted by :mod:`.eft`'s ``_coefficients`` and ``_check_point``, which
+also checks s, rules ``sum_k`` shares; the coefficients are checked only
+when a leading term is not finite, since finite terms prove them finite.
 
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .eft import _SPLITTER, _check_finite, _check_k, sum_k
+from .eft import _check_finite, _check_k, _check_point, _coefficients, sum_k
 
 _INVALID = "comp_de_casteljau_k coefficients must be finite"
 # The kernel of each K, compiled on first use.  Keyed by K alone, it holds
@@ -42,29 +44,13 @@ _INVALID = "comp_de_casteljau_k coefficients must be finite"
 _KERNELS: dict[int, Callable[[list[float], float], tuple[float, ...]]] = {}
 
 
-def _number(c: object, name: str) -> float:
-    if isinstance(c, (str, bytes, bytearray)):
-        raise TypeError(f"{name} coefficients must be numbers, got {c!r}")
-    return float(c)
-
-
-def _coefficients(p: Sequence[float], name: str) -> list[float]:
-    # Float subclasses such as CountingFloat pass unchanged; other numbers
-    # become the nearest float, and text, which float() would parse, is refused.
-    row = [c if isinstance(c, float) else _number(c, name) for c in p]
-    if not row:
-        raise ValueError(f"{name} needs at least one coefficient")
-    return row
-
-
-def _check_point(s: float) -> None:
-    if not math.isfinite(s):
-        raise ValueError(f"evaluation point s must be finite, got {s!r}")
-
-
 def _two_sum(y: str, a: str, b: str, err: str, store: str = "") -> list[str]:
-    # two_sum's 6 flops: y + err == a + b.  store is a slot also given y.
+    # TwoSum's 6 flops: y + err == a + b.  store is a slot also given y.
     return [f"{store}{y} = {a} + {b}", f"z = {y} - {a}", f"{err} = ({a} - ({y} - z)) + ({b} - z)"]
+
+
+# 2**27 + 1, the Dekker splitter for a 53-bit significand.
+_SPLITTER = 134217729.0
 
 
 def _two_prod(x: str, a: str, b: str, err: str) -> list[str]:
@@ -142,7 +128,7 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     """
     coeffs = _coefficients(p, "comp_de_casteljau_k")
     _check_k(k)
-    _check_point(s)
+    s = _check_point(s)
     kernel = _KERNELS.get(k)
     if kernel is None:
         # Compiled from k alone, in a namespace of its own: it reads no global.
@@ -171,11 +157,13 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     cond(p, s) reaches about u**-(k-1).
 
     ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
-    other numbers become floats, a string raises TypeError.  Raises
-    ValueError for a non-finite coefficient or s, or a k that is not an
-    int in 1..MAX_K (8).  An intermediate beyond the float range (for
-    k >= 2 also beyond |x| < 2**996, which the kernel's Dekker product
-    needs) raises OverflowError.  An s outside [0, 1] is extrapolation: no error
+    they and ``s`` may be any numbers, and those that are not floats become
+    the nearest float; a string raises TypeError, and a number past the
+    float range OverflowError.  Raises ValueError for a non-finite
+    coefficient or s, or a k that is not an int in 1..MAX_K (8).  An
+    intermediate beyond the float range (for k >= 2 also beyond
+    |x| < 2**996, which the kernel's Dekker product needs) raises
+    OverflowError.  An s outside [0, 1] is extrapolation: no error
     bound, and the oracle refuses it.
     """
     terms = leading_terms(p, s, k)
@@ -190,7 +178,7 @@ def horner(coeffs: Sequence[float], s: float) -> float:
     leaves the float range.
     """
     coeffs = _coefficients(coeffs, "horner")
-    _check_point(s)
+    s = _check_point(s)
     result = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         result = (result * s) + coeffs[i]

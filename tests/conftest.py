@@ -17,7 +17,6 @@ from casteljau import (
     leading_terms,
     nearest_float,
     p_tilde,
-    two_sum,
 )
 from casteljau.oracle import _ratio
 
@@ -57,6 +56,35 @@ def cond_multiplier(n: int, k: int) -> Fraction:
         stirling = [i * a + b for a, b in zip(stirling + [0], [0] + stirling)]
     q = sum(c * 3**j * 5 ** (k - j) * math.comb(n, j) for j, c in enumerate(stirling))
     return q * U**k
+
+
+def two_sum(a, b):
+    """Reference TwoSum: ``(fl(a+b), error)``, 6 flops, for any magnitudes.
+
+    ``sum_k`` and the kernel spell this sum out in place of a call; this
+    copy lets the tests check it alone, count it and replay the cascade
+    with it.  ``result + error == a + b`` exactly when no overflow occurs.
+    """
+    result = a + b
+    z = result - a
+    error = (a - (result - z)) + (b - z)
+    return result, error
+
+
+def reference_sum_k(p, k):
+    """Reference SumK (Ogita, Rump & Oishi) built on calls of ``two_sum``.
+
+    ``k - 1`` error-free passes, then a plain left-to-right sum: the
+    operations ``sum_k`` performs, in its order, with no check.
+    """
+    q = list(p)
+    for _ in range(k - 1):
+        for j in range(1, len(q)):
+            q[j], q[j - 1] = two_sum(q[j], q[j - 1])
+    total = q[0]
+    for x in q[1:]:
+        total = total + x
+    return total
 
 
 def two_prod(a, b):

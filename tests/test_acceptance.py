@@ -19,7 +19,6 @@ from casteljau import (
     exact_eval,
     leading_terms,
     nearest_float,
-    two_sum,
 )
 from casteljau.experiments import (
     OCTIC,
@@ -30,7 +29,7 @@ from casteljau.experiments import (
     run_table_reproduction,
 )
 
-from conftest import DATA_DIR, U, check_accuracy_bounds, once_compensated, two_prod
+from conftest import DATA_DIR, U, check_accuracy_bounds, once_compensated, two_prod, two_sum
 
 U_FLOAT = float(U)
 TWO_U = 2 * U

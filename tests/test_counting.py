@@ -10,10 +10,9 @@ from casteljau import (
     comp_de_casteljau_k,
     count_evaluation_flops,
     flop_count,
-    two_sum,
 )
 
-from conftest import two_prod
+from conftest import two_prod, two_sum
 
 
 def wrap(value, counter):

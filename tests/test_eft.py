@@ -1,16 +1,18 @@
 """Error-free transformation kernels: exactness is checked in rationals."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casteljau import sum_k, two_sum
+from casteljau import CountingFloat, FlopCounter, sum_k
 from casteljau.eft import MAX_K
 
-from conftest import U, gamma, signed_floats, two_prod
+from conftest import U, gamma, reference_sum_k, signed_floats, two_prod, two_sum
 
 # Magnitude window in which no product underflows and nothing overflows, so
 # the exactness contracts hold without caveats.
@@ -70,7 +72,7 @@ class TestTwoProd:
 
 
 class TestVecSum:
-    """VecSum, the error-free two_sum pass sum_k applies k - 1 times."""
+    """VecSum, the error-free TwoSum pass sum_k applies k - 1 times."""
 
     @given(eft_floats, st.integers(1, 6))
     def test_single_element_passthrough(self, x, k):
@@ -132,16 +134,54 @@ class TestSumK:
             with pytest.raises(TypeError):
                 sum_k(p, 2)
 
+    @given(st.lists(eft_floats, min_size=1, max_size=12), st.integers(1, MAX_K))
+    def test_inlined_two_sum_matches_reference(self, p, k):
+        # sum_k spells TwoSum out in place; conftest's SumK calls two_sum.
+        # Equal bits and equal tallies of each kind pin every operation.
+        inline, reference = FlopCounter(), FlopCounter()
+        got = sum_k([CountingFloat(x, inline) for x in p], k)
+        want = reference_sum_k([CountingFloat(x, reference) for x in p], k)
+        assert got.hex() == want.hex()
+        assert inline.ledger() == reference.ledger()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_entries_converted_like_coefficients(self, k):
+        # Floats pass unchanged; other numbers become the nearest float.
+        total = sum_k([1, 2], k)
+        assert type(total) is float and total == 3.0
+        want = sum_k([0.1, 1.0 / 3, 2.0**53, 1.0], k)
+        assert sum_k([Decimal("0.1"), Fraction(1, 3), 2**53, True], k) == want
+
+    @pytest.mark.parametrize("bad", ["1", b"1", bytearray(b"1")], ids=repr)
+    def test_text_entry_rejected(self, bad):
+        got = re.escape(f"sum_k entries must be numbers, got {bad!r}")
+        for k in (1, 2):
+            with pytest.raises(TypeError, match=f"^{got}$"):
+                sum_k([2.0, bad], k)
+
+    @pytest.mark.parametrize(
+        "big", [10**400, -(10**400), Fraction(10**400)], ids=["int", "-int", "Fraction"]
+    )
+    def test_entry_past_the_float_range_refused(self, big):
+        for k in (1, 2):
+            with pytest.raises(
+                OverflowError, match="^sum_k entries must be numbers within the float range$"
+            ):
+                sum_k([1.0, big], k)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_overflow_raises(self, k):
         # Finite entries whose sum leaves the float range: k = 1 would give
-        # inf and k >= 2 nan (two_sum's error of inf is nan); both raise.
+        # inf and k >= 2 nan (TwoSum's error of inf is nan); both raise.
         for p in ([1e308, 1e308], [-1e308, 1.0, -1e308], [1e308, 1e308, -1e308]):
             with pytest.raises(OverflowError, match="^sum_k overflowed the float range$"):
                 sum_k(p, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    # float() rounds Decimal("1e400") to inf: a non-finite entry.
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, pytest.param(Decimal("1e400"), id="Decimal_1e400")]
+    )
     def test_nonfinite_entry_rejected(self, k, bad):
         for p in ([bad], [1.0, bad], [bad, 1.0, 2.0], [bad, -bad]):
             with pytest.raises(ValueError, match="^sum_k entries must be finite$"):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,11 +24,10 @@ from casteljau import (
     horner,
     leading_terms,
     sum_k,
-    two_sum,
 )
 from casteljau.eft import MAX_K
 
-from conftest import check_accuracy_bounds, once_compensated, signed_floats, two_prod
+from conftest import check_accuracy_bounds, once_compensated, signed_floats, two_prod, two_sum
 
 CUBIC = (-1.0, 1.0, -1.0, 1.0)
 QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
@@ -82,12 +82,53 @@ class TestPolyTypes:
                     call([2.0, bad], 0.5, k)
         with pytest.raises(TypeError, match=f"^horner {got}$"):
             horner([bad, 2], 0.5)
-        with pytest.raises(TypeError):
-            comp_de_casteljau_k([1.0, 2.0], bad, 2)
+        # Nor may s be text, at any entry point that takes one.
+        point = f"^evaluation point s must be a number, got {re.escape(repr(bad))}$"
+        for call in (leading_terms, comp_de_casteljau_k, count_evaluation_flops):
+            with pytest.raises(TypeError, match=point):
+                call([1.0, 2.0], bad, 2)
+        with pytest.raises(TypeError, match=point):
+            horner([1.0, 2.0], bad)
+
+    def test_point_converted_like_coefficients(self):
+        # An s that is not a float evaluates with the bits of float(s), a
+        # Decimal s included, through every entry point that takes one.
+        p = [1.0, -2.0, 0.75, 3.0]
+        for s in (0, 1, True, False, 2, Fraction(1, 3), Decimal("0.3")):
+            for k in range(1, MAX_K + 1):
+                want = leading_terms(p, float(s), k)
+                assert [t.hex() for t in leading_terms(p, s, k)] == [t.hex() for t in want]
+                assert comp_de_casteljau_k(p, s, k) == comp_de_casteljau_k(p, float(s), k)
+            value, counter = count_evaluation_flops(p, s, 3)
+            want, want_counter = count_evaluation_flops(p, float(s), 3)
+            assert value.hex() == want.hex() and counter.ledger() == want_counter.ledger()
+            assert horner(p, s).hex() == horner(p, float(s)).hex()
+
+    @pytest.mark.parametrize(
+        "big", [10**400, -(10**400), Fraction(10**400)], ids=["int", "-int", "Fraction"]
+    )
+    def test_number_past_the_float_range_refused(self, big):
+        # One message naming the input, not Python's own of the number's type.
+        within = "within the float range"
+        coefficient = f"^comp_de_casteljau_k coefficients must be numbers {within}$"
+        point = f"^evaluation point s must be a number {within}$"
+        for k in (1, 2):
+            for call in (leading_terms, comp_de_casteljau_k, count_evaluation_flops):
+                with pytest.raises(OverflowError, match=coefficient):
+                    call([1.0, big], 0.5, k)
+                with pytest.raises(OverflowError, match=point):
+                    call([1.0, 2.0], big, k)
+        with pytest.raises(OverflowError, match=f"^horner coefficients must be numbers {within}$"):
+            horner([1.0, big], 0.5)
+        with pytest.raises(OverflowError, match=point):
+            horner([1.0, 2.0], big)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="^comp_de_casteljau_k coefficients must be finite$"):
-            comp_de_casteljau_k([1.0, math.inf], 0.5, 1)
+        # float() rounds Decimal("1e400") to inf: a non-finite coefficient.
+        invalid = "^comp_de_casteljau_k coefficients must be finite$"
+        for bad in (math.inf, Decimal("1e400")):
+            with pytest.raises(ValueError, match=invalid):
+                comp_de_casteljau_k([1.0, bad], 0.5, 1)
         with pytest.raises(ValueError, match="^horner coefficients must be finite$"):
             horner([math.nan], 1.0)
 
@@ -335,7 +376,9 @@ class TestCompDeCasteljauK:
         ],
         ids=["1", "2", "3", "horner"],
     )
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "s", [math.nan, math.inf, -math.inf, pytest.param(Decimal("1e400"), id="Decimal_1e400")]
+    )
     def test_nonfinite_point_rejected(self, s, evaluate):
         with pytest.raises(ValueError, match="finite"):
             evaluate(s)
@@ -503,7 +546,7 @@ class TestEftCallSites:
 
     @pytest.mark.parametrize("n", range(9))
     def test_ledger_matches_replay_by_kind(self, n):
-        # The replay calls two_sum and conftest's two_prod where the kernel
+        # The replay calls conftest's two_sum and two_prod where the kernel
         # spells them out.  Equal tallies of each kind and equal bits show
         # that the generator adds, drops, reuses or rebooks no operation.
         coeffs = [(-1.0) ** j * (j + 1) / 7 for j in range(n + 1)]

@@ -571,6 +571,18 @@ def test_oracle_imports_nothing_from_evaluate():
     assert not {n for n in imported if n.split(".")[:2] == ["casteljau", "evaluate"]}
 
 
+def test_float_side_input_rules_live_in_eft():
+    # One home for each refusal: only eft defines the float side's input
+    # rules, and no module reads a private name of evaluate.
+    rules = {"_check_k", "_check_finite", "_number", "_coefficients", "_check_point"}
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert defined & rules == (rules if path.name == "eft.py" else set()), path.name
+        imported = _imported_modules(path)
+        assert not {n for n in imported if n.startswith("casteljau.evaluate._")}, path.name
+
+
 def test_no_module_imports_numpy():
     # Loading numpy would roughly double the CLI's resident memory; a caller
     # who wants arrays of points brings them.
