@@ -5,6 +5,8 @@
 exactly in binary64 round-to-nearest when nothing overflows.  Nothing may
 be re-associated or fused, and the operands' own operators do the work,
 so a float subclass (the flop-count instrumentation) passes through.
+``sum_k``'s body, ``_sum_k``, skips its checks and conversion for the
+evaluator, whose terms are floats already.
 
 Every rule the float-side entry points apply to their inputs lives here:
 the k check with the largest K, ``MAX_K``; the conversions of a number, of
@@ -28,13 +30,21 @@ def _check_k(k: int) -> None:
 
 
 def _number(x: object, rule: str) -> float:
-    # rule reads "<what> must be numbers"; text, which float() parses, is refused.
-    if isinstance(x, (str, bytes, bytearray)):
-        raise TypeError(f"{rule}, got {x!r}")
+    # rule reads "<what> must be numbers".  Text, which float() parses, is no
+    # number, nor is what float() refuses; Decimal's signaling NaN is a NaN,
+    # which the finite checks refuse as they refuse a quiet one.
     try:
-        return float(x)
+        if not isinstance(x, (str, bytes, bytearray)):
+            return float(x)
+    except TypeError:
+        pass
     except OverflowError:
         raise OverflowError(f"{rule} within the float range") from None
+    except ValueError:
+        if not getattr(x, "is_snan", bool)():
+            raise
+        return math.nan
+    raise TypeError(f"{rule}, got {x!r}")
 
 
 def _coefficients(p: Sequence[float], name: str) -> list[float]:
@@ -89,7 +99,12 @@ def sum_k(p: Sequence[float], k: int) -> float:
     if len(p) == 0:
         raise ValueError("sum_k requires a nonempty vector")
     rule = "sum_k entries must be numbers"
-    q = [x if isinstance(x, float) else _number(x, rule) for x in p]
+    return _sum_k([x if isinstance(x, float) else _number(x, rule) for x in p], k)
+
+
+def _sum_k(p: Sequence[float], k: int) -> float:
+    # sum_k past its checks and conversion: p holds floats and stays intact.
+    q = list(p)
     for _ in range(k - 1):
         # TwoSum of q[j] and the running sum b, whose slot q[j - 1] gets the error.
         b = q[0]

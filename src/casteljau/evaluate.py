@@ -11,13 +11,17 @@ is their K-fold compensated sum, ``sum_k(leading_terms(p, s, k), k)``,
 which behaves as if computed in K times the working precision; K = 2 is
 the classic once-compensated algorithm.  A triangle entry (level, j) is
 the apex of the triangle of its sub-row ``p[j : j + n - level + 1]``, so
-no triangle is kept.  The kernel is generated once per K, for K up to
-``MAX_K``: one straight-line stage per triangle, each TwoSum and Dekker
-product written out in place from a template and every error a named
-local, as in CPython a call, a list or an iterator costs more than its
-flops.  It calls no EFT and reads no global.  Dekker's product, the one
-product EFT, splits both operands by ``_SPLITTER`` and is exact provided
-no partial product underflows and each operand is below 2**996.
+no triangle is kept.  The kernel is generated once per K and product
+template, for K up to ``MAX_K``: one straight-line stage per triangle,
+each TwoSum and Dekker product written out in place from a template and
+every error a named local, as in CPython a call, a list or an iterator
+costs more than its flops.  It calls no EFT and reads no global.
+Dekker's product, the one product EFT, splits both operands by
+``_SPLITTER`` (17 flops) and is exact provided no partial product
+underflows and each operand is below 2**996.  A plain-float s runs it
+pre-split (13 flops, same bits): r_hat, s and rho, the operands constant
+over the call, are split once in the kernel head.  A float subclass such
+as ``CountingFloat`` runs the paper's template, so counts are the paper's.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
@@ -36,12 +40,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .eft import _check_finite, _check_k, _check_point, _coefficients, sum_k
+from .eft import _check_finite, _check_k, _check_point, _coefficients, _sum_k
 
 _INVALID = "comp_de_casteljau_k coefficients must be finite"
-# The kernel of each K, compiled on first use.  Keyed by K alone, it holds
-# code, never data: no value outlives the call that computed it.
-_KERNELS: dict[int, Callable[[list[float], float], tuple[float, ...]]] = {}
+# The kernel of each K and product template, compiled on first use.  Keyed
+# by those alone, it holds code, never data: no value outlives its call.
+_KERNELS: dict[tuple[int, str], Callable[[list[float], float], tuple[float, ...]]] = {}
 
 
 def _two_sum(y: str, a: str, b: str, err: str, store: str = "") -> list[str]:
@@ -53,17 +57,23 @@ def _two_sum(y: str, a: str, b: str, err: str, store: str = "") -> list[str]:
 _SPLITTER = 134217729.0
 
 
-def _two_prod(x: str, a: str, b: str, err: str) -> list[str]:
-    # Dekker's 17-flop product, both operands split: x + err == a * b.
+def _split(a: str) -> str:
+    # 4 flops: a == a_h + a_l, each half of at most 26 significant bits.
+    return f"{a}_l = {a} - ({a}_h := (z := {a} * {_SPLITTER!r}) - (z - {a}))"
+
+
+def _two_prod(x: str, a: str, b: str, err: str, template: str) -> list[str]:
+    # Dekker's product, x + err == a * b, a constant over the call.  "presplit"
+    # reads a's halves from the kernel head; a split depends on a alone.
     return [
         f"{x} = {a} * {b}",
-        f"al = {a} - (ah := (z := {a} * {_SPLITTER!r}) - (z - {a}))",
-        f"bl = {b} - (bh := (z := {b} * {_SPLITTER!r}) - (z - {b}))",
-        f"{err} = al * bl - ((({x} - ah * bh) - al * bh) - ah * bl)",
+        *([_split(a)] if template == "paper" else []),
+        _split(b),
+        f"{err} = {a}_l * {b}_l - ((({x} - {a}_h * {b}_h) - {a}_l * {b}_h) - {a}_h * {b}_l)",
     ]
 
 
-def _kernel_source(k: int) -> str:
+def _kernel_source(k: int, template: str) -> str:
     # t0 is the base triangle, t1..t{k-1} the error triangles, each a row
     # overwritten in place: with j ascending, (level + 1, j + 1) is read
     # before (level, j) replaces it.  Stage f hands triangle f + 1 the errors
@@ -77,10 +87,13 @@ def _kernel_source(k: int) -> str:
     else:
         head = [*_two_sum("r_hat", "1.0", "-s", "rho"), "zero = getattr(s, 'zero_like', float)()"]
         head += [f"{t} = [zero] * len(t0)" for t in rows[1:]]
+        if template == "presplit":
+            # rho enters a product from K = 3 on.
+            head += [_split(a) for a in ("r_hat", "s", "rho")[: min(k, 3)]]
         body = [
             "delta_b, b = t0[j], t0[j + 1]",
-            *_two_prod("pr", "r_hat", "delta_b", "e1_0"),
-            *_two_prod("ps", "s", "b", "e1_1"),
+            *_two_prod("pr", "r_hat", "delta_b", "e1_0", template),
+            *_two_prod("ps", "s", "b", "e1_1", template),
             *_two_sum("y", "pr", "ps", "e1_2", store="t0[j] = "),
         ]
         for f in range(1, k - 1):
@@ -93,12 +106,12 @@ def _kernel_source(k: int) -> str:
                 body += _two_sum(f"l{f}_{i}", l_hat, x, eta[i])
                 l_hat = f"l{f}_{i}"
             body += [
-                *_two_prod("pr", "rho", "delta_b", eta[-6]),
+                *_two_prod("pr", "rho", "delta_b", eta[-6], template),
                 *_two_sum("y", l_hat, "pr", eta[-5]),
                 f"delta_b, b = t{f}[j], t{f}[j + 1]",
-                *_two_prod("ps", "s", "b", eta[-4]),
+                *_two_prod("ps", "s", "b", eta[-4], template),
                 *_two_sum("part", "y", "ps", eta[-3]),
-                *_two_prod("pr", "r_hat", "delta_b", eta[-2]),
+                *_two_prod("pr", "r_hat", "delta_b", eta[-2], template),
                 *_two_sum("y", "part", "pr", eta[-1], store=f"t{f}[j] = "),
             ]
         # The last stage runs the same chain with its residuals dropped.
@@ -129,12 +142,14 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     coeffs = _coefficients(p, "comp_de_casteljau_k")
     _check_k(k)
     s = _check_point(s)
-    kernel = _KERNELS.get(k)
+    # A float subclass, such as CountingFloat, runs the paper's products; K = 1 has none.
+    key = (k, "presplit" if type(s) is float and k > 1 else "paper")
+    kernel = _KERNELS.get(key)
     if kernel is None:
-        # Compiled from k alone, in a namespace of its own: it reads no global.
+        # Compiled from its key alone, in a namespace of its own: it reads no global.
         namespace: dict = {}
-        exec(compile(_kernel_source(k), f"<kernel K={k}>", "exec"), namespace)
-        kernel = _KERNELS[k] = namespace["kernel"]
+        exec(compile(_kernel_source(*key), f"<kernel K={k} {key[1]}>", "exec"), namespace)
+        kernel = _KERNELS[key] = namespace["kernel"]
     # The kernel overwrites its copy; coeffs stays intact for _check_finite.
     terms = kernel(coeffs[:], s)
     for t in terms:
@@ -167,7 +182,7 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     bound, and the oracle refuses it.
     """
     terms = leading_terms(p, s, k)
-    return terms[0] if k == 1 else sum_k(terms, k)
+    return terms[0] if k == 1 else _sum_k(terms, k)
 
 
 def horner(coeffs: Sequence[float], s: float) -> float:
@@ -192,6 +207,9 @@ def flop_count(n: int, k: int) -> int:
     The plain triangle (k=1) costs 3*T_n + 1.  For k >= 2 the cascade costs
     (15k**2 + 11k - 34)*T_n + 6k**2 - 11k + 11, counting the split-based
     product transform at 17 flops and the final k-term compensated sum.
+    This is the paper's count, which a float subclass s runs.  A plain-float
+    s runs the 13-flop pre-split product: 4(3k - 4)*T_n fewer, plus 4 per
+    constant split in the head, two at k=2 and three from k=3.
     ``k`` is refused past ``MAX_K``, as the evaluator refuses it.
     """
     if type(n) is not int or n < 0:

@@ -152,12 +152,23 @@ class TestSumK:
         want = sum_k([0.1, 1.0 / 3, 2.0**53, 1.0], k)
         assert sum_k([Decimal("0.1"), Fraction(1, 3), 2**53, True], k) == want
 
-    @pytest.mark.parametrize("bad", ["1", b"1", bytearray(b"1")], ids=repr)
+    @pytest.mark.parametrize(
+        "bad", ["1", b"1", bytearray(b"1"), None, pytest.param(object(), id="object"), 1j], ids=repr
+    )
     def test_text_entry_rejected(self, bad):
+        # Text, which float() would parse, and values float() refuses.
         got = re.escape(f"sum_k entries must be numbers, got {bad!r}")
         for k in (1, 2):
             with pytest.raises(TypeError, match=f"^{got}$"):
                 sum_k([2.0, bad], k)
+
+    @pytest.mark.parametrize("bad", [Decimal("sNaN"), Decimal("-sNaN")], ids=["sNaN", "-sNaN"])
+    def test_signaling_nan_entry_rejected(self, bad):
+        # Decimal's signaling NaN is a NaN, refused as a quiet one is.
+        for k in (1, 2):
+            for p in ([bad], [1.0, bad], [bad, 1.0, 2.0]):
+                with pytest.raises(ValueError, match="^sum_k entries must be finite$"):
+                    sum_k(p, k)
 
     @pytest.mark.parametrize(
         "big", [10**400, -(10**400), Fraction(10**400)], ids=["int", "-int", "Fraction"]

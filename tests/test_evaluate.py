@@ -7,6 +7,8 @@ import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from casteljau import (
     leading_terms,
     sum_k,
 )
-from casteljau.eft import MAX_K
+from casteljau.eft import MAX_K, _sum_k
 
 from conftest import check_accuracy_bounds, once_compensated, signed_floats, two_prod, two_sum
 
@@ -33,9 +35,23 @@ CUBIC = (-1.0, 1.0, -1.0, 1.0)
 QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
 U_FLOAT = 2.0**-53
 SPOTLIGHT = 0.5 + 1001 * U_FLOAT
+# The kernel's product templates: the paper's Dekker product, and the one
+# with r_hat, s and rho split once per call, which a plain-float s runs.
+TEMPLATES = ("paper", "presplit")
+
+# Text, and values float() refuses; each is refused as no number.
+NON_NUMBERS = ("1", b"1", bytearray(b"1"), None, pytest.param(object(), id="object"), 1j)
 
 coeff_lists = st.lists(signed_floats(2.0**-50, 2.0**50), min_size=1, max_size=10)
 small_floats = signed_floats(2.0**-60, 2.0**60)
+
+
+@lru_cache(maxsize=None)
+def compiled_kernel(k, template):
+    """The kernel of ``_kernel_source(k, template)``, compiled here."""
+    namespace = {}
+    exec(compile(evaluate._kernel_source(k, template), "<test kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def sub_rows(coeffs):
@@ -72,9 +88,10 @@ class TestPolyTypes:
         with pytest.raises(ValueError):
             horner([], 1.0)
 
-    @pytest.mark.parametrize("bad", ["1", b"1", bytearray(b"1")], ids=repr)
+    @pytest.mark.parametrize("bad", NON_NUMBERS, ids=repr)
     def test_string_coefficient_rejected(self, bad):
-        # float() would parse them; a coefficient must be a number.
+        # float() would parse text, and refuses the others with a message of
+        # its own; a coefficient must be a number.
         got = re.escape(f"coefficients must be numbers, got {bad!r}")
         for k in (1, 2, 3):
             for call in (comp_de_casteljau_k, leading_terms):
@@ -122,6 +139,23 @@ class TestPolyTypes:
             horner([1.0, big], 0.5)
         with pytest.raises(OverflowError, match=point):
             horner([1.0, 2.0], big)
+
+    @pytest.mark.parametrize("bad", [Decimal("sNaN"), Decimal("-sNaN")], ids=["sNaN", "-sNaN"])
+    def test_signaling_nan_refused_as_nonfinite(self, bad):
+        # float() raises its own ValueError for Decimal's signaling NaN; it is
+        # a NaN, refused with the quiet NaN's message.
+        invalid = "^comp_de_casteljau_k coefficients must be finite$"
+        point = f"^evaluation point s must be finite, got {re.escape(repr(bad))}$"
+        for k in (1, 2):
+            for call in (leading_terms, comp_de_casteljau_k, count_evaluation_flops):
+                with pytest.raises(ValueError, match=invalid):
+                    call([1.0, bad], 0.5, k)
+                with pytest.raises(ValueError, match=point):
+                    call([1.0, 2.0], bad, k)
+        with pytest.raises(ValueError, match="^horner coefficients must be finite$"):
+            horner([1.0, bad], 0.5)
+        with pytest.raises(ValueError, match=point):
+            horner([1.0, 2.0], bad)
 
     def test_nonfinite_rejected(self):
         # float() rounds Decimal("1e400") to inf: a non-finite coefficient.
@@ -360,7 +394,9 @@ class TestCompDeCasteljauK:
                 call(9)
             with pytest.raises(ValueError, match="^k must be at most 8, got 60$"):
                 call(60)
-        assert sorted(evaluate._KERNELS) == list(range(1, MAX_K + 1))
+        assert sorted(evaluate._KERNELS) == [(1, "paper")] + [
+            (k, template) for k in range(2, MAX_K + 1) for template in TEMPLATES
+        ]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -471,31 +507,38 @@ class TestEftCallSites:
     """The generated kernel spells out every EFT, the two_sum of r_hat and
     rho included, and is compiled in a namespace of its own, so it reads no
     module global.  perfbench traces the EFT layer by rebinding
-    ``casteljau.evaluate``'s module globals; of those only ``sum_k`` is
-    left, called once per K >= 2 evaluation and never at K = 1."""
+    ``casteljau.evaluate``'s module globals; of those only ``_sum_k``,
+    ``sum_k``'s body, is left, called once per K >= 2 evaluation and never
+    at K = 1.  Each K has one kernel per product template, and K = 1, which
+    has no product, one kernel."""
 
     def test_kernel_calls_the_module_globals(self, monkeypatch):
         calls = Counter()
 
         def counted(*args):
-            calls["sum_k"] += 1
-            return sum_k(*args)
+            calls["_sum_k"] += 1
+            return _sum_k(*args)
 
         assert "two_prod" not in vars(evaluate) and "two_sum" not in vars(evaluate)
-        monkeypatch.setattr(evaluate, "sum_k", counted)
+        assert "sum_k" not in vars(evaluate)
+        monkeypatch.setattr(evaluate, "_sum_k", counted)
         for n in range(9):
             coeffs = [(-1.0) ** j * (1.0 + j / 7) for j in range(n + 1)]
             for k in range(1, MAX_K + 1):
                 calls.clear()
                 comp_de_casteljau_k(coeffs, 0.3, k)
-                assert calls["sum_k"] == (0 if k == 1 else 1), (n, k)
+                assert calls["_sum_k"] == (0 if k == 1 else 1), (n, k)
 
-    def test_kernel_reads_no_global(self):
+    def test_kernel_reads_no_global(self, monkeypatch):
         # Compiled from its templates alone: the splitter is a literal and
         # r_hat, rho come from the two_sum template, not from a call.
+        monkeypatch.setattr(evaluate, "_KERNELS", {})
         for k in range(1, MAX_K + 1):
             leading_terms(QUARTIC, 0.3, k)
-            assert set(evaluate._KERNELS[k].__globals__) == {"__builtins__", "kernel"}, k
+            count_evaluation_flops(QUARTIC, 0.3, k)
+        assert len(evaluate._KERNELS) == 2 * MAX_K - 1
+        for key, kernel in evaluate._KERNELS.items():
+            assert set(kernel.__globals__) == {"__builtins__", "kernel"}, key
 
     @staticmethod
     def _level_loops(tree):
@@ -510,28 +553,35 @@ class TestEftCallSites:
         # its flops, so the body of the loop over the triangle levels of each
         # generated kernel may call only range, len, iter, next and list
         # methods.  Its header runs once, and so does the kernel's set-up.
-        for k in range(1, MAX_K + 1):
-            (loop,) = self._level_loops(ast.parse(evaluate._kernel_source(k)))
+        for k, template in product(range(1, MAX_K + 1), TEMPLATES):
+            (loop,) = self._level_loops(ast.parse(evaluate._kernel_source(k, template)))
             calls = [node.func for node in ast.walk(loop) if isinstance(node, ast.Call)]
             calls.remove(loop.iter.func)
-            assert calls, k
+            assert calls, (k, template)
             bad = [
                 ast.unparse(func)
                 for func in calls
                 if not (isinstance(func, ast.Name) and func.id in ("range", "len", "iter", "next"))
                 and not (isinstance(func, ast.Attribute) and func.attr in dir(list))
             ]
-            assert not bad, f"the K={k} triangle loops call {bad}"
+            assert not bad, f"the K={k} {template} triangle loops call {bad}"
 
-    def test_every_triangle_loop_is_generated(self):
+    def test_every_triangle_loop_is_generated(self, monkeypatch):
         # The guard above reads the generated source, so no triangle loop
-        # may be left in the module itself.
+        # may be left in the module itself, and every kernel that runs, of
+        # either template, is compiled from that source.
         tree = ast.parse(Path(evaluate.__file__).read_text(encoding="utf-8"))
         assert self._level_loops(tree) == []
+        monkeypatch.setattr(evaluate, "_KERNELS", {})
+        for k in range(1, MAX_K + 1):
+            leading_terms(QUARTIC, 0.3, k)
+            count_evaluation_flops(QUARTIC, 0.3, k)
+        for key, kernel in evaluate._KERNELS.items():
+            assert kernel.__code__.co_code == compiled_kernel(*key).__code__.co_code, key
 
     def test_one_kernel_per_k(self, monkeypatch):
-        # The cache holds one function per K that was called, whatever the
-        # polynomial, its degree or its float type: code, never data.
+        # The cache holds one function per (K, template) that was called,
+        # whatever the polynomial or its degree: code, never data.
         monkeypatch.setattr(evaluate, "_KERNELS", {})
         seen = {}
         for k in (3, 1, 5):
@@ -539,8 +589,10 @@ class TestEftCallSites:
                 coeffs = [(j + 1) / 3 for j in range(n + 1)]
                 leading_terms(coeffs, 0.3, k)
                 count_evaluation_flops(coeffs, 0.6, k)
-                seen.setdefault(k, set()).add(id(evaluate._KERNELS[k]))
-        assert sorted(evaluate._KERNELS) == [1, 3, 5]
+                for key, kernel in evaluate._KERNELS.items():
+                    seen.setdefault(key, set()).add(id(kernel))
+        want = [(1, "paper"), (3, "paper"), (3, "presplit"), (5, "paper"), (5, "presplit")]
+        assert sorted(evaluate._KERNELS) == want
         assert all(len(ids) == 1 for ids in seen.values())
         assert all(type(f) is type(leading_terms) for f in evaluate._KERNELS.values())
 
@@ -561,6 +613,60 @@ class TestEftCallSites:
             assert kernel.ledger() == replay.ledger(), (n, k)
             want = entry(base_tri, err_tris, 0, 0)
             assert [t.hex() for t in terms] == [t.hex() for t in want], (n, k)
+
+
+class TestProductTemplates:
+    """A plain-float s runs the pre-split template: r_hat, s and, for K >= 3,
+    rho are split once in the kernel head, and each product splits only its
+    varying operand, 13 flops in place of 17.  Gate 8 counts the paper
+    template, which every float subclass runs, so these tests pin the float
+    path to it: the same bits, and a closed form for its operations."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(small_floats, min_size=1, max_size=10),
+        st.one_of(st.floats(0.0, 1.0), small_floats),
+        st.integers(2, MAX_K),
+    )
+    def test_float_path_matches_paper_template(self, coeffs, s, k):
+        want = compiled_kernel(k, "paper")(coeffs[:], s)
+        got = leading_terms(coeffs, s, k)
+        assert (k, "presplit") in evaluate._KERNELS
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+    def test_template_follows_the_type_of_s(self, monkeypatch):
+        class Sub(float):
+            pass
+
+        monkeypatch.setattr(evaluate, "_KERNELS", {})
+        for k in (1, 2, 3):
+            leading_terms(QUARTIC, CountingFloat(0.3, FlopCounter()), k)
+            leading_terms(QUARTIC, Sub(0.3), k)
+        assert sorted(evaluate._KERNELS) == [(1, "paper"), (2, "paper"), (3, "paper")]
+        # Other numbers become a plain float, as do the coefficients' types.
+        for s in (0.3, Fraction(3, 10), Decimal("0.3"), 1):
+            leading_terms([CountingFloat(c, FlopCounter()) for c in QUARTIC], s, 2)
+        assert sorted(evaluate._KERNELS) == [(1, "paper"), (2, "paper"), (2, "presplit"), (3, "paper")]
+
+    @pytest.mark.parametrize("k", range(2, MAX_K + 1))
+    def test_presplit_flop_count(self, k):
+        # Each of the 3k - 4 products per entry saves its constant operand's
+        # split, 1 mul and 3 subs; the head spends one split per constant.
+        heads = 2 if k == 2 else 3
+        for n in (0, 1, 4, 8):
+            ledgers = {}
+            for template in TEMPLATES:
+                counter = FlopCounter()
+                coeffs = [CountingFloat((-1.0) ** j * (j + 1) / 7, counter) for j in range(n + 1)]
+                sum_k(compiled_kernel(k, template)(coeffs, CountingFloat(0.3, counter)), k)
+                ledgers[template] = counter
+            paper, presplit = ledgers["paper"], ledgers["presplit"]
+            t_n = n * (n + 1) // 2
+            assert paper.total == flop_count(n, k)
+            assert presplit.total == flop_count(n, k) - 4 * (3 * k - 4) * t_n + 4 * heads
+            assert presplit.adds == paper.adds, (n, k)
+            assert presplit.muls == paper.muls - (3 * k - 4) * t_n + heads, (n, k)
+            assert presplit.subs == paper.subs - 3 * (3 * k - 4) * t_n + 3 * heads, (n, k)
 
 
 class TestHorner:
