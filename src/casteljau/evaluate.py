@@ -20,8 +20,10 @@ Dekker's product, the one product EFT, splits both operands by
 ``_SPLITTER`` (17 flops) and is exact provided no partial product
 underflows and each operand is below 2**996.  A plain-float s runs it
 pre-split (13 flops, same bits): r_hat, s and rho, the operands constant
-over the call, are split once in the kernel head.  A float subclass such
-as ``CountingFloat`` runs the paper's template, so counts are the paper's.
+over the call, are split once in the kernel head, so the float path costs
+``flop_count(n, k) - 4(3k-4)*T_n + 4*(2 if k == 2 else 3)``.  A float
+subclass such as ``CountingFloat`` runs the paper's template, so counts
+are the paper's.
 
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
