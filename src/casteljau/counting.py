@@ -13,13 +13,22 @@ do wrap their result so the instrumentation never drops out mid-expression.
 the paper's flop model and raise ``TypeError`` instead of counting.
 
 ``FlopCounter`` is a slotted tally, one int attribute per counted kind.
+
+The kernel's product template and its error-triangle zeros follow the type
+of s alone.  ``count_evaluation_flops`` wraps the coefficients and s, so it
+is the counted path, and it counts the paper's flops.  Wrapped
+coefficients with a plain-float s run the pre-split template, and the
+operations that meet only plain floats go uncounted: ``leading_terms`` at
+n = 2, K = 2 then counts 116 operations, neither the paper kernel's 150
+nor the pre-split kernel's 134, and nothing warns.  A ``numpy.float64`` s
+is a float subclass, so it runs the paper template, uncounted.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .eft import _check_point, _coefficients
+from .eft import _inputs
 from .evaluate import comp_de_casteljau_k
 
 
@@ -112,8 +121,7 @@ def count_evaluation_flops(p: Sequence[float], s: float, k: int) -> tuple[float,
     bitwise identical to the uninstrumented evaluation.
     """
     # Checked before wrapping: CountingFloat, like float(), would parse text.
-    coeffs = _coefficients(p, "comp_de_casteljau_k")
-    s = _check_point(s)
+    coeffs, s = _inputs(p, s, "comp_de_casteljau_k")
     counter = FlopCounter()
     wrapped = [CountingFloat(c, counter) for c in coeffs]
     value = comp_de_casteljau_k(wrapped, CountingFloat(s, counter), k)

@@ -9,8 +9,9 @@ so a float subclass (the flop-count instrumentation) passes through.
 evaluator, whose terms are floats already.
 
 Every rule the float-side entry points apply to their inputs lives here:
-the k check with the largest K, ``MAX_K``; the conversions of a number, of
-coefficients and of the point s to floats; and the finite-or-refuse check.
+the k check with the largest K, ``MAX_K``; the conversion of a number to a
+float; that of a polynomial and its point s, which also checks them; and the
+finite-or-refuse check.
 """
 
 from __future__ import annotations
@@ -29,39 +30,35 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be at most {MAX_K}, got {k}")
 
 
-def _number(x: object, rule: str) -> float:
-    # rule reads "<what> must be numbers".  Text, which float() parses, is no
-    # number, nor is what float() refuses; Decimal's signaling NaN is a NaN,
-    # which the finite checks refuse as they refuse a quiet one.
+def _number(x: object, *rule: str) -> float:
+    # rule's words, joined to raise, read "<what> must be numbers".  Text, which
+    # float() parses, is no number, nor is what float() refuses; Decimal's
+    # signaling NaN is a NaN, refused by the finite checks as a quiet one is.
     try:
         if not isinstance(x, (str, bytes, bytearray)):
             return float(x)
     except TypeError:
         pass
     except OverflowError:
-        raise OverflowError(f"{rule} within the float range") from None
+        raise OverflowError(f"{' '.join(rule)} within the float range") from None
     except ValueError:
         if not getattr(x, "is_snan", bool)():
             raise
         return math.nan
-    raise TypeError(f"{rule}, got {x!r}")
+    raise TypeError(f"{' '.join(rule)}, got {x!r}")
 
 
-def _coefficients(p: Sequence[float], name: str) -> list[float]:
-    # Float subclasses such as CountingFloat pass unchanged.
-    rule = f"{name} coefficients must be numbers"
-    row = [c if isinstance(c, float) else _number(c, rule) for c in p]
+def _inputs(p: Sequence[float], s: object, name: str) -> tuple[list[float], float]:
+    # The coefficients, then s, as floats; float subclasses such as
+    # CountingFloat pass unchanged, and the message shows s as given.
+    rule = (name, "coefficients must be numbers")
+    row = [c if isinstance(c, float) else _number(c, *rule) for c in p]
     if not row:
         raise ValueError(f"{name} needs at least one coefficient")
-    return row
-
-
-def _check_point(s: object) -> float:
-    # s converted as a coefficient is; the message shows s as given.
     x = s if isinstance(s, float) else _number(s, "evaluation point s must be a number")
     if not math.isfinite(x):
         raise ValueError(f"evaluation point s must be finite, got {s!r}")
-    return x
+    return row, x
 
 
 def _check_finite(value: float, inputs: Sequence[float], invalid: str, overflow: str) -> float:

@@ -29,9 +29,9 @@ A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
 
 A polynomial is a plain sequence of coefficients.  It and the point s are
-converted by :mod:`.eft`'s ``_coefficients`` and ``_check_point``, which
-also checks s, rules ``sum_k`` shares; the coefficients are checked only
-when a leading term is not finite, since finite terms prove them finite.
+converted, and s checked, by one rule of :mod:`.eft`, ``_inputs``, which
+converts numbers as ``sum_k`` does; the coefficients are checked only when
+a leading term is not finite, since finite terms prove them finite.
 
 All update loops keep a strict operation order (products of the complement
 term last) and must not be re-associated; the error analysis depends on it.
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .eft import _check_finite, _check_k, _check_point, _coefficients, _sum_k
+from .eft import _check_finite, _check_k, _inputs, _sum_k
 
 _INVALID = "comp_de_casteljau_k coefficients must be finite"
 # The kernel of each K and product template, compiled on first use.  Keyed
@@ -141,9 +141,8 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     non-finite term is a non-finite coefficient or an overflow.  ``k`` is at
     most ``MAX_K``, the limit :func:`sum_k` and :func:`flop_count` share.
     """
-    coeffs = _coefficients(p, "comp_de_casteljau_k")
+    coeffs, s = _inputs(p, s, "comp_de_casteljau_k")
     _check_k(k)
-    s = _check_point(s)
     # A float subclass, such as CountingFloat, runs the paper's products; K = 1 has none.
     key = (k, "presplit" if type(s) is float and k > 1 else "paper")
     kernel = _KERNELS.get(key)
@@ -173,6 +172,12 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     the classic compensated form.  The relative error stays near u until
     cond(p, s) reaches about u**-(k-1).
 
+    At s = 0 and s = 1 the value is the end coefficient, bit for bit, when
+    that is not zero.  A -0.0 end coefficient comes back +0.0 for k >= 2,
+    since ``sum_k`` adds the error triangles' +0.0 apexes; at k = 1 it
+    keeps its sign only where the zero product added to it is -0.0, as for
+    ``[-0.0, -1.0]`` at s = 0 and for ``[-0.0]``.
+
     ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
     they and ``s`` may be any numbers, and those that are not floats become
     the nearest float; a string raises TypeError, and a number past the
@@ -194,8 +199,7 @@ def horner(coeffs: Sequence[float], s: float) -> float:
     a non-finite coefficient or s, and OverflowError when an intermediate
     leaves the float range.
     """
-    coeffs = _coefficients(coeffs, "horner")
-    s = _check_point(s)
+    coeffs, s = _inputs(coeffs, s, "horner")
     result = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         result = (result * s) + coeffs[i]

@@ -208,6 +208,17 @@ class TestDeCasteljau:
             assert comp_de_casteljau_k(coeffs, 0.0, k) == coeffs[0]
             assert comp_de_casteljau_k(coeffs, 1.0, k) == coeffs[-1]
 
+    def test_endpoint_signed_zeros(self):
+        # == cannot tell -0.0 from +0.0, so the test above proves bits only
+        # for nonzero end coefficients; comp_de_casteljau_k's docstring says
+        # why a -0.0 end coefficient comes back with these signs.
+        cases = [([-0.0, 1.0, 2.0], 0.0), ([-0.0, -1.0], -0.0), ([-0.0], -0.0)]
+        for p, at_k1 in cases:
+            for k in range(1, MAX_K + 1):
+                want = (at_k1 if k == 1 else 0.0).hex()
+                assert comp_de_casteljau_k(p, 0.0, k).hex() == want, (p, k)
+                assert comp_de_casteljau_k(p[::-1], 1.0, k).hex() == want, (p, k)
+
 
 class TestCompDeCasteljau:
     def test_spotlight_point_collapses_to_zero(self):
@@ -506,11 +517,12 @@ class TestCompDeCasteljauK:
 class TestEftCallSites:
     """The generated kernel spells out every EFT, the two_sum of r_hat and
     rho included, and is compiled in a namespace of its own, so it reads no
-    module global.  perfbench traces the EFT layer by rebinding
-    ``casteljau.evaluate``'s module globals; of those only ``_sum_k``,
-    ``sum_k``'s body, is left, called once per K >= 2 evaluation and never
-    at K = 1.  Each K has one kernel per product template, and K = 1, which
-    has no product, one kernel."""
+    module global.  Of the EFT layer, ``casteljau.evaluate``'s globals hold
+    only ``_sum_k``, ``sum_k``'s body, called once per K >= 2 evaluation and
+    never at K = 1, and no ``sum_k``, ``two_sum`` or ``two_prod``.
+    perfbench's tracer wraps none of these names, so its ``eft.sum_k.calls``
+    reads 0 on the evaluator.  Each K has one kernel per product template,
+    and K = 1, which has no product, one kernel."""
 
     def test_kernel_calls_the_module_globals(self, monkeypatch):
         calls = Counter()
