@@ -19,9 +19,10 @@ of s alone.  ``count_evaluation_flops`` wraps the coefficients and s, so it
 is the counted path, and it counts the paper's flops.  Wrapped
 coefficients with a plain-float s run the pre-split template, and the
 operations that meet only plain floats go uncounted: ``leading_terms`` at
-n = 2, K = 2 then counts 116 operations, neither the paper kernel's 150
-nor the pre-split kernel's 134, and nothing warns.  A ``numpy.float64`` s
-is a float subclass, so it runs the paper template, uncounted.
+n = 2, K = 2 then counts 119 operations, its kernel's SumK included,
+neither the paper kernel's 157 nor the pre-split kernel's 137, and nothing
+warns.  A ``numpy.float64`` s is a float subclass, so it runs the paper
+template, uncounted.
 """
 
 from __future__ import annotations

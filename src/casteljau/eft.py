@@ -4,9 +4,10 @@
 ``z = y - a`` and ``e = (a - (y - z)) + (b - z)`` give ``y + e == a + b``
 exactly in binary64 round-to-nearest when nothing overflows.  Nothing may
 be re-associated or fused, and the operands' own operators do the work,
-so a float subclass (the flop-count instrumentation) passes through.
-``sum_k``'s body, ``_sum_k``, skips its checks and conversion for the
-evaluator, whose terms are floats already.
+so a float subclass (the flop-count instrumentation) passes through.  The
+evaluator's kernel writes the same SumK out over its own terms, from the
+TwoSum template of :mod:`.evaluate`, and calls nothing here per evaluation
+but the input rules.
 
 Every rule the float-side entry points apply to their inputs lives here:
 the k check with the largest K, ``MAX_K``; the conversion of a number to a
@@ -96,12 +97,8 @@ def sum_k(p: Sequence[float], k: int) -> float:
     if len(p) == 0:
         raise ValueError("sum_k requires a nonempty vector")
     rule = "sum_k entries must be numbers"
-    return _sum_k([x if isinstance(x, float) else _number(x, rule) for x in p], k)
-
-
-def _sum_k(p: Sequence[float], k: int) -> float:
-    # sum_k past its checks and conversion: p holds floats and stays intact.
-    q = list(p)
+    row = [x if isinstance(x, float) else _number(x, rule) for x in p]
+    q = row[:]
     for _ in range(k - 1):
         # TwoSum of q[j] and the running sum b, whose slot q[j - 1] gets the error.
         b = q[0]
@@ -116,4 +113,4 @@ def _sum_k(p: Sequence[float], k: int) -> float:
     for x in q[1:]:
         total = total + x
     invalid = "sum_k entries must be finite"
-    return _check_finite(total, p, invalid, "sum_k overflowed the float range")
+    return _check_finite(total, row, invalid, "sum_k overflowed the float range")

@@ -1,9 +1,11 @@
 """Evaluator behavior: endpoints, local errors, the cascade, bounds."""
 
 import ast
+import inspect
 import math
 import random
 import re
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -20,6 +22,7 @@ from casteljau import (
     FlopCounter,
     comp_de_casteljau_k,
     count_evaluation_flops,
+    eft,
     evaluate,
     exact_eval,
     flop_count,
@@ -27,9 +30,16 @@ from casteljau import (
     leading_terms,
     sum_k,
 )
-from casteljau.eft import MAX_K, _sum_k
+from casteljau.eft import MAX_K
 
-from conftest import check_accuracy_bounds, once_compensated, signed_floats, two_prod, two_sum
+from conftest import (
+    check_accuracy_bounds,
+    once_compensated,
+    reference_sum_k,
+    signed_floats,
+    two_prod,
+    two_sum,
+)
 
 CUBIC = (-1.0, 1.0, -1.0, 1.0)
 QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
@@ -485,6 +495,34 @@ class TestCompDeCasteljauK:
             assert all(type(t) is float for t in terms)
             assert comp_de_casteljau_k(QUARTIC, 0.7, k) == sum_k(terms, k)
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(small_floats, min_size=1, max_size=10),
+        st.one_of(st.floats(0.0, 1.0), small_floats),
+        st.integers(1, MAX_K),
+    )
+    def test_kernel_sum_has_the_bits_of_sum_k(self, coeffs, s, k):
+        # The kernel sums its own terms; the value must be sum_k's, bit for
+        # bit, at every K and also where s extrapolates.
+        value = comp_de_casteljau_k(coeffs, s, k)
+        assert value.hex() == sum_k(leading_terms(coeffs, s, k), k).hex()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sum_overflow_raises_after_finite_terms(self, k):
+        # Extrapolated to just under the float range: every term is finite,
+        # and only their sum overflows, so the sum's message is the one
+        # raised, by leading_terms too, since the kernel sums what it returns.
+        coeffs = [float.fromhex("-0x1.b8596eabe1c38p+981"), float.fromhex("0x1.599c7046cdb53p+982")]
+        s = float.fromhex("0x1.cf53cb38a1f36p+40")
+        terms = compiled_kernel(k, "paper")(coeffs[:], s)[1:]
+        assert all(math.isfinite(t) for t in terms) and terms[0] == 1.7976931348623157e308
+        message = "^sum_k overflowed the float range$"
+        for call in (comp_de_casteljau_k, leading_terms):
+            with pytest.raises(OverflowError, match=message):
+                call(coeffs, s, k)
+        with pytest.raises(OverflowError, match=message):
+            sum_k(terms, k)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_cascade_matches_shadow_replay(self, k):
         rng = random.Random(100 + k)
@@ -516,30 +554,41 @@ class TestCompDeCasteljauK:
 
 class TestEftCallSites:
     """The generated kernel spells out every EFT, the two_sum of r_hat and
-    rho included, and is compiled in a namespace of its own, so it reads no
-    module global.  Of the EFT layer, ``casteljau.evaluate``'s globals hold
-    only ``_sum_k``, ``sum_k``'s body, called once per K >= 2 evaluation and
-    never at K = 1, and no ``sum_k``, ``two_sum`` or ``two_prod``.
+    rho and the final SumK included, and is compiled in a namespace of its
+    own, so it reads no module global.  No evaluation calls the EFT layer:
+    of :mod:`casteljau.eft`, ``casteljau.evaluate`` imports and calls only
+    the input rules, and it has no ``sum_k``, ``two_sum`` or ``two_prod``.
     perfbench's tracer wraps none of these names, so its ``eft.sum_k.calls``
     reads 0 on the evaluator.  Each K has one kernel per product template,
     and K = 1, which has no product, one kernel."""
 
-    def test_kernel_calls_the_module_globals(self, monkeypatch):
+    def test_kernel_calls_the_module_globals(self):
+        rules = {"_check_k", "_check_finite", "_inputs"}
+        imported = {
+            name for name, value in vars(evaluate).items()
+            if getattr(value, "__module__", None) == eft.__name__
+        }
+        assert imported == rules
+        assert not {"sum_k", "_sum_k", "two_sum", "two_prod"} & set(vars(evaluate))
+        functions = {f.__code__ for f in vars(eft).values() if inspect.isfunction(f)}
         calls = Counter()
 
-        def counted(*args):
-            calls["_sum_k"] += 1
-            return _sum_k(*args)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in functions:
+                calls[frame.f_code.co_name] += 1
 
-        assert "two_prod" not in vars(evaluate) and "two_sum" not in vars(evaluate)
-        assert "sum_k" not in vars(evaluate)
-        monkeypatch.setattr(evaluate, "_sum_k", counted)
         for n in range(9):
             coeffs = [(-1.0) ** j * (1.0 + j / 7) for j in range(n + 1)]
             for k in range(1, MAX_K + 1):
-                calls.clear()
                 comp_de_casteljau_k(coeffs, 0.3, k)
-                assert calls["_sum_k"] == (0 if k == 1 else 1), (n, k)
+                calls.clear()
+                sys.setprofile(profile)
+                try:
+                    comp_de_casteljau_k(coeffs, 0.3, k)
+                finally:
+                    sys.setprofile(None)
+                # The entry step's two rules, once each, and no other eft call.
+                assert calls == {"_inputs": 1, "_check_k": 1}, (n, k)
 
     def test_kernel_reads_no_global(self, monkeypatch):
         # Compiled from its templates alone: the splitter is a literal and
@@ -591,6 +640,18 @@ class TestEftCallSites:
         for key, kernel in evaluate._KERNELS.items():
             assert kernel.__code__.co_code == compiled_kernel(*key).__code__.co_code, key
 
+    def test_k1_kernel_is_the_plain_triangle(self):
+        # K = 1 keeps its subscript body: carried locals made K = 1 calls
+        # slower, and it has no product to split nor terms to sum.
+        assert evaluate._kernel_source(1, "paper") == "\n".join([
+            "def kernel(t0, s):",
+            "    r_hat = 1.0 - s",
+            "    for level in range(len(t0) - 2, -1, -1):",
+            "        for j in range(level + 1):",
+            "            t0[j] = (r_hat * t0[j]) + (s * t0[j + 1])",
+            "    return t0[0],",
+        ])
+
     def test_one_kernel_per_k(self, monkeypatch):
         # The cache holds one function per (K, template) that was called,
         # whatever the polynomial or its degree: code, never data.
@@ -611,7 +672,8 @@ class TestEftCallSites:
     @pytest.mark.parametrize("n", range(9))
     def test_ledger_matches_replay_by_kind(self, n):
         # The replay calls conftest's two_sum and two_prod where the kernel
-        # spells them out.  Equal tallies of each kind and equal bits show
+        # spells them out, and its terms go through conftest's SumK, as the
+        # kernel sums its own.  Equal tallies of each kind and equal bits show
         # that the generator adds, drops, reuses or rebooks no operation.
         coeffs = [(-1.0) ** j * (j + 1) / 7 for j in range(n + 1)]
         for k in range(2, MAX_K + 1):
@@ -622,17 +684,21 @@ class TestEftCallSites:
             base_tri, err_tris = replay_cascade(
                 [CountingFloat(c, replay) for c in coeffs], CountingFloat(0.3, replay), k
             )
-            assert kernel.ledger() == replay.ledger(), (n, k)
             want = entry(base_tri, err_tris, 0, 0)
+            reference_sum_k(want, k)
+            assert kernel.ledger() == replay.ledger(), (n, k)
             assert [t.hex() for t in terms] == [t.hex() for t in want], (n, k)
 
 
 class TestProductTemplates:
     """A plain-float s runs the pre-split template: r_hat, s and, for K >= 3,
-    rho are split once in the kernel head, and each product splits only its
-    varying operand, 13 flops in place of 17.  Gate 8 counts the paper
-    template, which every float subclass runs, so these tests pin the float
-    path to it: the same bits, and a closed form for its operations."""
+    rho are split once in the kernel head, and each varying operand once,
+    where it is read from its row; the r_hat product of its stage and the
+    rho product of the next share its halves, and the next entry gets them
+    as its delta_b's.  So a product costs 9 flops in place of 17, and a
+    triangle entry K - 1 splits.  Gate 8 counts the paper template, which
+    every float subclass runs, so these tests pin the float path to it: the
+    same bits, and a closed form for its operations."""
 
     @settings(max_examples=300)
     @given(
@@ -641,8 +707,9 @@ class TestProductTemplates:
         st.integers(2, MAX_K),
     )
     def test_float_path_matches_paper_template(self, coeffs, s, k):
+        # The paper kernel returns its value, then its terms.
         want = compiled_kernel(k, "paper")(coeffs[:], s)
-        got = leading_terms(coeffs, s, k)
+        got = (comp_de_casteljau_k(coeffs, s, k), *leading_terms(coeffs, s, k))
         assert (k, "presplit") in evaluate._KERNELS
         assert [t.hex() for t in got] == [t.hex() for t in want]
 
@@ -662,23 +729,26 @@ class TestProductTemplates:
 
     @pytest.mark.parametrize("k", range(2, MAX_K + 1))
     def test_presplit_flop_count(self, k):
-        # Each of the 3k - 4 products per entry saves its constant operand's
-        # split, 1 mul and 3 subs; the head spends one split per constant.
+        # A split is 1 mul and 3 subs.  The paper's 2(3k - 4) splits per
+        # entry become k - 1, 5k - 7 fewer; each of the n levels splits its
+        # k - 1 first delta_b's, and the head one split per constant.  The
+        # kernel's SumK is the same in both.
         heads = 2 if k == 2 else 3
         for n in (0, 1, 4, 8):
             ledgers = {}
             for template in TEMPLATES:
                 counter = FlopCounter()
                 coeffs = [CountingFloat((-1.0) ** j * (j + 1) / 7, counter) for j in range(n + 1)]
-                sum_k(compiled_kernel(k, template)(coeffs, CountingFloat(0.3, counter)), k)
+                compiled_kernel(k, template)(coeffs, CountingFloat(0.3, counter))
                 ledgers[template] = counter
             paper, presplit = ledgers["paper"], ledgers["presplit"]
             t_n = n * (n + 1) // 2
+            splits = -(5 * k - 7) * t_n + (k - 1) * n + heads
             assert paper.total == flop_count(n, k)
-            assert presplit.total == flop_count(n, k) - 4 * (3 * k - 4) * t_n + 4 * heads
+            assert presplit.total == flop_count(n, k) + 4 * splits, (n, k)
             assert presplit.adds == paper.adds, (n, k)
-            assert presplit.muls == paper.muls - (3 * k - 4) * t_n + heads, (n, k)
-            assert presplit.subs == paper.subs - 3 * (3 * k - 4) * t_n + 3 * heads, (n, k)
+            assert presplit.muls == paper.muls + splits, (n, k)
+            assert presplit.subs == paper.subs + 3 * splits, (n, k)
 
 
 class TestHorner:
