@@ -153,16 +153,6 @@ def run_root_neighborhood(points: int = 401) -> list[SweepRecord]:
     return _sorted(records)
 
 
-def _geometric_point(j: int) -> float:
-    # 3/4 - 1.3**j for negative j, built without libm pow: accumulate the
-    # power by repeated multiplication, then a single divide.  Fixed
-    # operation order keeps the points bit-identical everywhere.
-    power = 1.0
-    for _ in range(-j):
-        power = power * 1.3
-    return 0.75 - (1.0 / power)
-
-
 def run_condition_sweep(
     k_list: Sequence[int] = (1, 2, 3, 4), points: int = 86
 ) -> list[SweepRecord]:
@@ -179,8 +169,12 @@ def run_condition_sweep(
     records = []
     octic = _integer_row(OCTIC)
     last_s = last_cond = None
+    # power is 1.3**-j, carried from point to point by multiplication, not
+    # libm pow, so the points are bit-identical everywhere.
+    power = 1.3 * 1.3 * 1.3 * 1.3
     for j in range(-5, -5 - points, -1):
-        s = _geometric_point(j)
+        power = power * 1.3
+        s = 0.75 - (1.0 / power)
         if s == last_s:
             raise ValueError(
                 f"point j={j} repeats its predecessor {s.hex()}: binary64 spacing "

@@ -42,7 +42,7 @@ def gamma(n: int) -> Fraction:
 
 
 def cond_multiplier(n: int, k: int) -> Fraction:
-    """Leading coefficient of cond(p, s) in the K-fold error bound, times u**k.
+    """Coefficient of ptilde(s) in ``error_bound`` (of cond in relative form).
 
     u**k * sum_{j=1..k} c(k, j) * 3**j * 5**(k-j) * C(n, j), where c(k, j)
     are the unsigned Stirling numbers of the first kind, the coefficients of
@@ -226,52 +226,45 @@ def fraction_root_form(linear_factors, scale=1) -> tuple[float, ...]:
     return tuple(floats)
 
 
+def error_bound(n: int, k: int, exact, tilde, leading) -> Fraction:
+    """Exact a priori bound on |comp_de_casteljau_k(p, s, k) - p(s)|.
+
+    For degree n, exact = p(s), tilde = ptilde(s) and the k leading terms:
+
+    * k = 1: gamma(3n) * ptilde(s);
+    * k = 2: u |p(s)| + 2 gamma(3n)**2 * ptilde(s);
+    * k = 3, 4: (u + 3 gamma(k-1)**2) |p(s)| + gamma(2k-2)**k * sum|leading|
+      + cond_multiplier(n, k) * ptilde(s), where the middle terms bound the
+      final k-term compensated sum over the actual leading terms.
+
+    These are the paper's relative bounds times |p(s)|, exact since cond *
+    |p(s)| = ptilde(s), so they hold at a root too.  k > 4 raises.
+    """
+    if k == 1:
+        return gamma(3 * n) * tilde
+    if k == 2:
+        return U * abs(exact) + 2 * gamma(3 * n) ** 2 * tilde
+    return (
+        (U + 3 * gamma(k - 1) ** 2) * abs(exact)
+        + gamma(2 * k - 2) ** k * sum(abs(Fraction(v)) for v in leading)
+        + cond_multiplier(n, k) * tilde
+    )
+
+
 def check_accuracy_bounds(coeffs, s) -> list[str]:
-    """Exact per-instance error-bound checks at K = 1, 2 and 3.
+    """Exact per-instance ``error_bound`` checks at K = 1..4, roots included.
 
     Returns a list of violation descriptions (empty = all bounds hold).
-    Checks, all in rational arithmetic:
-
-    * plain triangle: absolute error <= gamma(3n) * ptilde(s);
-    * once compensated: relative error <= u + 2*gamma(3n)**2 * cond;
-    * K=3: relative error <= u + 3*gamma(2)**2
-      + gamma(4)**3 * sum|leading terms| / |p(s)|
-      + [3n(3n^2+36n+61)/2] u^3 * cond,
-      where the middle terms bound the final three-term compensated sum
-      using the actual leading terms.
-
-    The relative checks are skipped at exact roots.
     """
     n = len(coeffs) - 1
     exact = exact_eval(coeffs, s)
     tilde = p_tilde(coeffs, s)
+    leading = leading_terms(coeffs, s, 4)
     out = []
-
-    plain = comp_de_casteljau_k(coeffs, s, 1)
-    if abs(Fraction(plain) - exact) > gamma(3 * n) * tilde:
-        out.append(f"plain bound violated at n={n}, s={s!r}")
-
-    if exact == 0:
-        return out
-    cond = tilde / abs(exact)
-
-    comp = comp_de_casteljau_k(coeffs, s, 2)
-    rel2 = abs(Fraction(comp) - exact) / abs(exact)
-    if rel2 > U + 2 * gamma(3 * n) ** 2 * cond:
-        out.append(f"compensated bound violated at n={n}, s={s!r}")
-
-    value3 = comp_de_casteljau_k(coeffs, s, 3)
-    leading = leading_terms(coeffs, s, 3)
-    rel3 = abs(Fraction(value3) - exact) / abs(exact)
-    sum_abs = sum(abs(Fraction(v)) for v in leading)
-    bound3 = (
-        U
-        + 3 * gamma(2) ** 2
-        + gamma(4) ** 3 * sum_abs / abs(exact)
-        + cond_multiplier(n, 3) * cond
-    )
-    if rel3 > bound3:
-        out.append(f"k=3 bound violated at n={n}, s={s!r}")
+    for k in range(1, 5):
+        error = abs(Fraction(comp_de_casteljau_k(coeffs, s, k)) - exact)
+        if error > error_bound(n, k, exact, tilde, leading[:k]):
+            out.append(f"k={k} bound violated at n={n}, s={s!r}")
     return out
 
 

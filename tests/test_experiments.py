@@ -22,11 +22,13 @@ from casteljau import (
     exact_eval,
     experiments,
     leading_terms,
+    p_tilde,
 )
 from casteljau.cli import main
 from casteljau.eft import MAX_K
 from casteljau.experiments import (
     CSV_HEADER,
+    CUBIC_BERNSTEIN,
     OCTIC,
     QUARTIC,
     SPOTLIGHT_S,
@@ -40,7 +42,7 @@ from casteljau.experiments import (
     run_table_reproduction,
 )
 
-from conftest import U, cond_multiplier
+from conftest import U, cond_multiplier, error_bound
 from test_readme import _subcommand_flags
 
 TWO_U = 2 * U
@@ -201,6 +203,23 @@ class TestCubicComparison:
         for method in ("horner", "decasteljau"):
             worst = max(r.rel_err for r in cubic_records if r.method == method and r.cond < 1e17)
             assert worst > 1e5 * float(U), (method, worst)
+
+
+def test_every_sweep_row_within_the_error_bound(sweep_records, cubic_records):
+    # Checked exactly on every evaluator row, roots included; on
+    # condition-sweep's K = 2..4 rows near cond 4e10 the error comes within
+    # 3% of the bound.  cubic-compare runs K = 1 on the cubic, K >= 2 on the
+    # quartic.
+    rows = [(OCTIC, r) for r in run_root_neighborhood() + sweep_records]
+    rows += [
+        (CUBIC_BERNSTEIN if r.k == 1 else QUARTIC, r)
+        for r in cubic_records
+        if r.method != "horner"
+    ]
+    for p, r in rows:
+        leading = leading_terms(p, r.s, r.k)
+        bound = error_bound(len(p) - 1, r.k, r.exact, p_tilde(p, r.s), leading)
+        assert abs(Fraction(r.value) - r.exact) <= bound, (r.method, r.k, r.s.hex())
 
 
 class TestOneCascadePerPoint:
