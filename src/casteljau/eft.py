@@ -26,9 +26,9 @@ MAX_K = 8
 
 def _check_k(k: int) -> None:
     if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > MAX_K:
-        raise ValueError(f"k must be at most {MAX_K}, got {k}")
+        raise ValueError(f"k must be at most {MAX_K}, got {k!r}")
 
 
 def _number(x: object, *rule: str) -> float:

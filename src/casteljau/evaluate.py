@@ -264,7 +264,7 @@ def flop_count(n: int, k: int) -> int:
     ``k`` is refused past ``MAX_K``, as the evaluator refuses it.
     """
     if type(n) is not int or n < 0:
-        raise ValueError(f"degree n must be a nonnegative integer, got {n}")
+        raise ValueError(f"degree n must be a nonnegative integer, got {n!r}")
     _check_k(k)
     t_n = n * (n + 1) // 2
     if k == 1:

@@ -1,9 +1,13 @@
 """Deterministic accuracy experiments, returned as CSV records or text reports.
 
-Each runner sweeps a fixed family of evaluation points on a fixed
-polynomial, compares every computed value against the exact rational oracle,
-and returns one record per (point, method); runners write nothing.  Points
-are constructed by plain float arithmetic, left to right, exactly as
+The three sweeps run a fixed family of evaluation points, compare every
+computed value against the exact rational oracle, and return one record per
+(point, method, K), so ``compK`` gives one row per K from 3 up: two per
+point in condition-sweep.  root-neighborhood and condition-sweep run the
+octic; cubic-compare runs the cubic, then the quartic.  The other two
+runners return text lines: ``run_table_reproduction`` audits the spotlight
+triangle and ``run_flop_report`` the flop counts.  Runners write nothing.
+Points are constructed by plain float arithmetic, left to right, exactly as
 written, and every float lands in the output as a hexadecimal literal, so
 runs are byte-for-byte reproducible across machines.
 

@@ -1,6 +1,7 @@
 """Error-free transformation kernels: exactness is checked in rationals."""
 
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casteljau import CountingFloat, FlopCounter, sum_k
+from casteljau import CountingFloat, FlopCounter, evaluate, sum_k
 from casteljau.eft import MAX_K
 
 from conftest import U, gamma, reference_sum_k, signed_floats, two_prod, two_sum
@@ -71,6 +72,41 @@ class TestTwoProd:
         assert abs(Fraction(error)) <= U * abs(Fraction(result))
 
 
+def template_function(*lines):
+    """The generator's EFT ``lines`` as a function of a and b returning (x, e)."""
+    source = "\n".join(["def eft(a, b):", *(f"    {line}" for line in lines), "    return x, e"])
+    namespace = {}
+    exec(compile(source, "<eft template>", "exec"), namespace)
+    return namespace["eft"]
+
+
+class TestKernelTemplates:
+    """The EFTs the kernel generator writes out, each compiled alone; the
+    tests above and gates 1 and 2 check conftest's hand copies."""
+
+    def test_exact_and_presplit_has_the_paper_bits(self):
+        add = template_function(*evaluate._two_sum("x", "a", "b", "e"))
+        paper = template_function(*evaluate._two_prod("x", "a", "b", "e", "paper"))
+        # The pre-split product reads the halves of operands split before it.
+        presplit = template_function(
+            evaluate._split("a"),
+            evaluate._split("b"),
+            *evaluate._two_prod("x", "a", "b", "e", "presplit"),
+        )
+        rng = random.Random(20260801)
+        for _ in range(2 * 10**4):
+            # Gate 1's window: magnitudes in [2**-300, 2**300), either sign.
+            a, b = (
+                rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-300, 299)
+                for _ in range(2)
+            )
+            x, e = add(a, b)
+            assert Fraction(x) + Fraction(e) == Fraction(a) + Fraction(b), (a, b)
+            x, e = paper(a, b)
+            assert Fraction(x) + Fraction(e) == Fraction(a) * Fraction(b), (a, b)
+            assert [t.hex() for t in presplit(a, b)] == [x.hex(), e.hex()], (a, b)
+
+
 class TestVecSum:
     """VecSum, the error-free TwoSum pass sum_k applies k - 1 times."""
 
@@ -103,10 +139,6 @@ class TestVecSum:
 
 
 class TestSumK:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_single_element(self, k):
-        assert sum_k([42.5], k) == 42.5
-
     def test_k2_rescues_cancellation(self):
         # a plain left-to-right sum returns 0.0 here
         assert sum_k([2.0**53, 1.0, -(2.0**53)], 1) == 0.0
@@ -119,6 +151,9 @@ class TestSumK:
         for k in (0, -1, 2.0, True):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 sum_k([1.0], k)
+        # The refusal shows k as given: text is quoted.
+        with pytest.raises(ValueError, match="^k must be a positive integer, got '2'$"):
+            sum_k([1.0], "2")
         with pytest.raises(ValueError):
             sum_k([], 2)
 

@@ -135,14 +135,6 @@ class TestStringInputs:
                 call()
 
 
-@pytest.mark.parametrize(
-    "fn", [exact_eval, p_tilde, condition_number], ids=lambda fn: fn.__name__
-)
-def test_empty_polynomial_rejected(fn):
-    with pytest.raises(ValueError, match="^polynomial needs at least one coefficient$"):
-        fn([], 0.5)
-
-
 class TestConditionNumber:
     def test_single_coefficient_is_perfectly_conditioned(self):
         report = condition_number([5.0], 0.3)
