@@ -27,7 +27,7 @@ template, uncounted.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from .eft import _inputs
 from .evaluate import comp_de_casteljau_k
@@ -115,7 +115,7 @@ class CountingFloat(float):
         return CountingFloat(float.__abs__(self), self.counter)
 
 
-def count_evaluation_flops(p: Sequence[float], s: float, k: int) -> tuple[float, FlopCounter]:
+def count_evaluation_flops(p: Iterable[float], s: float, k: int) -> tuple[float, FlopCounter]:
     """Run ``comp_de_casteljau_k`` on instrumented scalars.
 
     Returns the (plain float) result and the operation tally.  The value is

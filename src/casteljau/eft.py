@@ -18,7 +18,7 @@ finite-or-refuse check.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # The largest K.  The kernel for K, about 7.5*K**2 lines, compiles on first use.
 MAX_K = 8
@@ -49,7 +49,7 @@ def _number(x: object, *rule: str) -> float:
     raise TypeError(f"{' '.join(rule)}, got {x!r}")
 
 
-def _inputs(p: Sequence[float], s: object, name: str) -> tuple[list[float], float]:
+def _inputs(p: Iterable[float], s: object, name: str) -> tuple[list[float], float]:
     # The coefficients, then s, as floats; float subclasses such as
     # CountingFloat pass unchanged, and the message shows s as given.
     rule = (name, "coefficients must be numbers")
@@ -74,7 +74,7 @@ def _check_finite(value: float, inputs: Sequence[float], invalid: str, overflow:
     raise OverflowError(overflow)
 
 
-def sum_k(p: Sequence[float], k: int) -> float:
+def sum_k(p: Iterable[float], k: int) -> float:
     """Sum a vector as if carried out in ``k`` times the working precision.
 
     This is SumK of Ogita, Rump & Oishi (2005).  Each of ``k - 1`` passes
@@ -89,15 +89,15 @@ def sum_k(p: Sequence[float], k: int) -> float:
     where e is the exact sum and g(m) = m*u/(1 - m*u).  ``k`` is at most
     ``MAX_K``, the limit the evaluator shares.
 
-    ``p`` is a nonempty sequence of numbers, converted as coefficients are.
-    A result that is not finite raises: ValueError if an entry is inf or
-    nan, else OverflowError (a partial sum left the float range).
+    ``p``, any nonempty iterable of numbers, is read once and converted as
+    coefficients are.  A non-finite result raises: ValueError if an entry is
+    inf or nan, else OverflowError (a partial sum left the float range).
     """
     _check_k(k)
-    if len(p) == 0:
-        raise ValueError("sum_k requires a nonempty vector")
     rule = "sum_k entries must be numbers"
     row = [x if isinstance(x, float) else _number(x, rule) for x in p]
+    if not row:
+        raise ValueError("sum_k requires a nonempty vector")
     q = row[:]
     for _ in range(k - 1):
         # TwoSum of q[j] and the running sum b, whose slot q[j - 1] gets the error.

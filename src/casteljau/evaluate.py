@@ -32,7 +32,7 @@ counts are the paper's.
 A plain Horner evaluator for monomial-basis input is included for accuracy
 comparisons, along with the closed-form flop counts of each K.
 
-A polynomial is a plain sequence of coefficients.  It and the point s are
+A polynomial is any nonempty iterable of numbers, read once.  It and s are
 converted, and s checked, by one rule of :mod:`.eft`, ``_inputs``, which
 converts numbers as ``sum_k`` does; the terms and coefficients are checked
 only when the value is not finite, since a finite value proves them finite.
@@ -44,7 +44,7 @@ term last) and must not be re-associated; the error analysis depends on it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .eft import _check_finite, _check_k, _inputs
 
@@ -163,7 +163,7 @@ def _kernel_source(k: int, template: str) -> str:
     ])
 
 
-def _cascade(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
+def _cascade(p: Iterable[float], s: float, k: int) -> tuple[float, ...]:
     # The entry step of both evaluators: the kernel's value, then for K >= 2
     # the K leading terms it summed; K = 1's one term is the value.
     coeffs, s = _inputs(p, s, "comp_de_casteljau_k")
@@ -189,7 +189,7 @@ def _cascade(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     return out
 
 
-def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
+def leading_terms(p: Iterable[float], s: float, k: int) -> tuple[float, ...]:
     """The K leading values of the K-fold compensated de Casteljau cascade.
 
     ``k=1`` gives the apex of the plain triangle, repeated convex
@@ -206,7 +206,7 @@ def leading_terms(p: Sequence[float], s: float, k: int) -> tuple[float, ...]:
     return _cascade(p, s, k)[-k:]
 
 
-def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
+def comp_de_casteljau_k(p: Iterable[float], s: float, k: int) -> float:
     """de Casteljau compensated to K-fold working precision.
 
     The value is ``sum_k`` of the K :func:`leading_terms`.  ``k=1`` is the
@@ -223,7 +223,7 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     keeps its sign only where the zero product added to it is -0.0, as for
     ``[-0.0, -1.0]`` at s = 0 and for ``[-0.0]``.
 
-    ``p`` is any nonempty sequence of the Bernstein coefficients b_0..b_n;
+    ``p`` is any nonempty iterable of the Bernstein coefficients b_0..b_n;
     they and ``s`` may be any numbers, and those that are not floats become
     the nearest float; a string raises TypeError, and a number past the
     float range OverflowError.  Raises ValueError for a non-finite
@@ -236,7 +236,7 @@ def comp_de_casteljau_k(p: Sequence[float], s: float, k: int) -> float:
     return _cascade(p, s, k)[0]
 
 
-def horner(coeffs: Sequence[float], s: float) -> float:
+def horner(coeffs: Iterable[float], s: float) -> float:
     """Evaluate sum_i coeffs[i] * s**i by Horner's rule.
 
     Raises like :func:`comp_de_casteljau_k`: ValueError for no coefficients,

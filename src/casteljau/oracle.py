@@ -2,18 +2,18 @@
 
 Every coefficient and point is taken as an exact rational: every finite
 binary64 value is a dyadic rational m * 2**e, so the conversion is exact.
-A polynomial is converted once, into one integer row: the terms
-N_j * C(n, j), with the coefficients scaled to integers N_j over their
-common denominator L; a caller may build it once and pass it in.  At s = a/q
-one pass on plain ints gives L * q**n * p(s), the homogeneous Bernstein sum
-of N_j * C(n, j) * a**j * (q - a)**(n - j), taken Horner-style in a;
-p_tilde(s) shares every term.  It is the integer the de Casteljau triangle
-gives, in O(n) steps instead of O(n**2), and one gcd at the end reduces it
-over L * q**n to an exact ``Fraction``.  Rounding happens at most once per
-reported quantity, when a rational result is turned back into a float.
-``condition_number`` returns a ``ConditionReport`` named tuple: p(s), cond
-and its rounding.  Away from a root p_tilde(s) is cond * abs(p(s)), and
-``p_tilde`` gives it anywhere in [0, 1].
+A polynomial, any nonempty iterable of numbers, is read once into one
+integer row: the terms N_j * C(n, j), with the coefficients scaled to
+integers N_j over their common denominator L; a caller may build it once and
+pass it in.  At s = a/q one pass on plain ints gives L * q**n * p(s), the
+homogeneous Bernstein sum of N_j * C(n, j) * a**j * (q - a)**(n - j), taken
+Horner-style in a; p_tilde(s) shares every term.  It is the integer the
+de Casteljau triangle gives, in O(n) steps instead of O(n**2), and one gcd
+at the end reduces it over L * q**n to an exact ``Fraction``.  Rounding
+happens at most once per reported quantity, when a rational result is turned
+back into a float.  ``condition_number`` returns a ``ConditionReport`` named
+tuple: p(s), cond and its rounding.  Away from a root p_tilde(s) is
+cond * abs(p(s)), and ``p_tilde`` gives it anywhere in [0, 1].
 
 ``bernstein_from_root_form`` builds test polynomials on ints too: it expands
 the root form as one integer polynomial over one denominator and takes each
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, float, Fraction]
 
@@ -66,7 +66,7 @@ class _IntegerRow(NamedTuple):
     denominator: int
 
 
-def _integer_row(p: Union[Sequence[RationalLike], _IntegerRow]) -> _IntegerRow:
+def _integer_row(p: Union[Iterable[RationalLike], _IntegerRow]) -> _IntegerRow:
     """The one place the oracle converts and checks coefficients.
 
     L is the lcm of the coefficients' denominators, a power of two for
@@ -75,9 +75,9 @@ def _integer_row(p: Union[Sequence[RationalLike], _IntegerRow]) -> _IntegerRow:
     """
     if type(p) is _IntegerRow:
         return p
-    if len(p) == 0:
-        raise ValueError("polynomial needs at least one coefficient")
     ratios = [_ratio(c) for c in p]
+    if not ratios:
+        raise ValueError("polynomial needs at least one coefficient")
     common = math.lcm(*(d for _, d in ratios))
     n = len(ratios) - 1
     terms = (m * (common // d) * math.comb(n, j) for j, (m, d) in enumerate(ratios))
@@ -120,13 +120,13 @@ class ConditionReport(NamedTuple):
     rounded_cond: float
 
 
-def exact_eval(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
+def exact_eval(p: Iterable[RationalLike], s: RationalLike) -> Fraction:
     """p(s) by the homogeneous Bernstein sum in exact integer arithmetic."""
     value, _, denominator = _scaled_sums(*_ratio(s), _integer_row(p))
     return Fraction(value, denominator)
 
 
-def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
+def p_tilde(p: Iterable[RationalLike], s: RationalLike) -> Fraction:
     """The conditioning numerator: sum of abs(b_j) times the basis at s.
 
     Only defined here for s in [0, 1], where the basis functions are
@@ -136,7 +136,7 @@ def p_tilde(p: Sequence[RationalLike], s: RationalLike) -> Fraction:
     return Fraction(tilde, denominator)
 
 
-def condition_number(p: Sequence[RationalLike], s: RationalLike) -> ConditionReport:
+def condition_number(p: Iterable[RationalLike], s: RationalLike) -> ConditionReport:
     """Relative condition number of evaluating p at s, with exact parts.
 
     cond = p_tilde(s) / abs(p(s)); at a root of p this is reported as

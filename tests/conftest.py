@@ -61,9 +61,9 @@ def cond_multiplier(n: int, k: int) -> Fraction:
 def two_sum(a, b):
     """Reference TwoSum: ``(fl(a+b), error)``, 6 flops, for any magnitudes.
 
-    ``sum_k`` and the kernel spell this sum out in place of a call; this
-    copy lets the tests check it alone, count it and replay the cascade
-    with it.  ``result + error == a + b`` exactly when no overflow occurs.
+    ``sum_k`` and the kernel spell this sum out; gate 1 pins this copy to
+    their template's bits, and the tests replay the cascade with it.
+    ``result + error == a + b`` exactly when no overflow occurs.
     """
     result = a + b
     z = result - a
@@ -90,8 +90,8 @@ def reference_sum_k(p, k):
 def two_prod(a, b):
     """Reference TwoProduct, Dekker's: ``(fl(a*b), error)``, 17 flops.
 
-    The kernel spells this product out in place of a call; this copy lets
-    the tests check it alone, count it and replay the cascade with it.
+    The kernel spells this product out; gate 1 pins this copy to its
+    template's bits, and the tests replay the cascade with it.
     ``result + error == a * b`` exactly when no overflow occurs and no
     partial product underflows.  Each operand is split into halves of at
     most 27 and 26 bits, which needs ``abs(x) < 2**996``.
@@ -105,6 +105,14 @@ def two_prod(a, b):
     bl = b - bh
     error = al * bl - (((result - ah * bh) - al * bh) - ah * bl)
     return result, error
+
+
+def template_function(*lines):
+    """The generator's EFT ``lines`` as a function of a and b returning (x, e)."""
+    source = "\n".join(["def eft(a, b):", *(f"    {line}" for line in lines), "    return x, e"])
+    namespace = {}
+    exec(compile(source, "<eft template>", "exec"), namespace)
+    return namespace["eft"]
 
 
 def once_compensated(coeffs, s):

@@ -9,6 +9,7 @@ intentional change) with ``pytest tests/test_acceptance.py --regen-goldens``.
 import json
 import math
 import random
+import struct
 import time
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 
 from casteljau import (
     comp_de_casteljau_k,
+    evaluate,
     exact_eval,
     leading_terms,
     nearest_float,
@@ -29,7 +31,15 @@ from casteljau.experiments import (
     run_table_reproduction,
 )
 
-from conftest import DATA_DIR, U, check_accuracy_bounds, once_compensated, two_prod, two_sum
+from conftest import (
+    DATA_DIR,
+    U,
+    check_accuracy_bounds,
+    once_compensated,
+    template_function,
+    two_prod,
+    two_sum,
+)
 
 U_FLOAT = float(U)
 TWO_U = 2 * U
@@ -50,16 +60,26 @@ def eft_pairs():
     return [(_random_magnitude(rng), _random_magnitude(rng)) for _ in range(10**5)]
 
 
+# The EFTs the kernel runs, each compiled alone from the generator's templates.
+# The pre-split product reads the halves of operands split before it.
+TWO_SUM = template_function(*evaluate._two_sum("x", "a", "b", "e"))
+TWO_PROD = template_function(*evaluate._two_prod("x", "a", "b", "e", "paper"))
+PRESPLIT = template_function(
+    evaluate._split("a"), evaluate._split("b"), *evaluate._two_prod("x", "a", "b", "e", "presplit")
+)
+
+
 def test_criterion_1_eft_exactness(eft_pairs):
+    bits = struct.Struct("6d").pack  # equal bytes, equal bits
     start = time.monotonic()
     failures = 0
     for a, b in eft_pairs:
-        s, e = two_sum(a, b)
-        if Fraction(s) + Fraction(e) != Fraction(a) + Fraction(b):
-            failures += 1
-        p, q = two_prod(a, b)
-        if Fraction(p) + Fraction(q) != Fraction(a) * Fraction(b):
-            failures += 1
+        s, e = TWO_SUM(a, b)
+        p, q = TWO_PROD(a, b)
+        failures += Fraction(s) + Fraction(e) != Fraction(a) + Fraction(b)
+        failures += Fraction(p) + Fraction(q) != Fraction(a) * Fraction(b)
+        # The pre-split product and conftest's copies have the shipped bits.
+        failures += bits(*PRESPLIT(a, b), *two_sum(a, b), *two_prod(a, b)) != bits(p, q, s, e, p, q)
     elapsed = time.monotonic() - start
     print(f"criterion 1: {len(eft_pairs)} pairs, {failures} failures, {elapsed:.1f}s")
     assert failures == 0
@@ -79,7 +99,7 @@ def test_criterion_2_fma_agreement(eft_pairs):
     mismatches = 0
     for a, b in eft_pairs:
         x = a * b
-        if two_prod(a, b) != (x, fma(a, b, -x)):
+        if TWO_PROD(a, b) != (x, fma(a, b, -x)):
             mismatches += 1
     print(f"criterion 2: {len(eft_pairs)} pairs, {mismatches} mismatches, fma by {which}")
     assert mismatches == 0

@@ -13,8 +13,6 @@ from casteljau import (
     leading_terms,
 )
 
-from conftest import two_prod, two_sum
-
 
 def wrap(value, counter):
     return CountingFloat(value, counter)
@@ -103,16 +101,6 @@ class TestCountingFloat:
         with pytest.raises(TypeError, match=f"refuses {re.escape(symbol)}:"):
             op(wrap(0.75, c))
         assert c.total == 0
-
-    def test_two_sum_costs_six(self):
-        c = FlopCounter()
-        two_sum(wrap(1.0, c), wrap(2.0**-53, c))
-        assert c.total == 6
-
-    def test_two_prod_costs_seventeen(self):
-        c = FlopCounter()
-        two_prod(wrap(1.1, c), wrap(0.9, c))
-        assert c.total == 17
 
 
 class TestFlopCounter:

@@ -291,6 +291,7 @@ class TestIntegerRow:
     def test_row_and_coefficients_agree(self, coeffs, s):
         row = oracle._integer_row(coeffs)
         assert oracle._integer_row(row) is row
+        assert oracle._integer_row(c for c in coeffs) == row  # read once, as a list is
         assert exact_eval(row, s) == exact_eval(coeffs, s)
         assert p_tilde(row, s) == p_tilde(coeffs, s)
         from_row, from_coeffs = condition_number(row, s), condition_number(coeffs, s)
