@@ -289,7 +289,7 @@ def pytest_addoption(parser):
         "--regen-goldens",
         action="store_true",
         default=False,
-        help="rewrite the golden sweep CSV and frozen thresholds from this run",
+        help="rewrite the golden sweep CSV from this run",
     )
 
 

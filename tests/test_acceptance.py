@@ -1,12 +1,11 @@
 """Acceptance suite: one test per shipping criterion, fixed seeds throughout.
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail line
-per criterion.  Criterion 7 compares against golden files under
-``tests/data/``; regenerate them (first run on a new oracle, or after an
+per criterion.  Criterion 7 compares against the golden CSV under
+``tests/data/``; regenerate it (first run on a new oracle, or after an
 intentional change) with ``pytest tests/test_acceptance.py --regen-goldens``.
 """
 
-import json
 import math
 import random
 import struct
@@ -45,7 +44,6 @@ U_FLOAT = float(U)
 TWO_U = 2 * U
 
 GOLDEN_CSV = DATA_DIR / "root_neighborhood.csv"
-GOLDEN_THRESHOLDS = DATA_DIR / "golden_thresholds.json"
 
 
 def _random_magnitude(rng: random.Random) -> float:
@@ -110,7 +108,7 @@ def test_criterion_3_endpoint_exactness():
     checked = 0
     for _ in range(10**3):
         n = rng.randint(0, 12)
-        coeffs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-30, 30) for _ in range(n + 1)]
+        coeffs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-50, 50) for _ in range(n + 1)]
         evaluations = [
             comp_de_casteljau_k(coeffs, 0.0, 1),
             comp_de_casteljau_k(coeffs, 0.0, 2),
@@ -132,9 +130,13 @@ def test_criterion_3_endpoint_exactness():
 def test_criterion_4_error_bounds():
     rng = random.Random(20260804)
     violations = []
-    for _ in range(10**3):
+    for case in range(10**3):
         n = rng.randint(2, 10)
-        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
+        # Every other case scales each coefficient by 10**-3 .. 10**3.
+        coeffs = [
+            rng.uniform(-1.0, 1.0) * (10 ** rng.randint(-3, 3) if case % 2 else 1)
+            for _ in range(n + 1)
+        ]
         s = rng.random()
         violations.extend(check_accuracy_bounds(coeffs, s))
     print(f"criterion 4: 1000 cases, {len(violations)} bound violations")
@@ -206,40 +208,23 @@ def _sweep_error_extrema(records):
 
 
 def test_criterion_7_root_neighborhood_golden(regen_goldens):
-    first = render_csv(run_root_neighborhood())
-    second = render_csv(run_root_neighborhood())
-    assert first == second, "repeated runs must be byte-identical"
-
     records = run_root_neighborhood()
-    worst = _sweep_error_extrema(records)
-    k3_max = nearest_float(worst[("compK", 3)])
-    plain_max = nearest_float(worst[("decasteljau", 1)])
+    first = render_csv(records)
+    assert render_csv(run_root_neighborhood()) == first, "repeated runs must be byte-identical"
 
     if regen_goldens:
         DATA_DIR.mkdir(parents=True, exist_ok=True)
         GOLDEN_CSV.write_bytes(first.encode("utf-8"))
-        GOLDEN_THRESHOLDS.write_text(
-            json.dumps(
-                {
-                    "k3_max_abs_err_hex": k3_max.hex(),
-                    "plain_max_abs_err_hex": plain_max.hex(),
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
 
     assert GOLDEN_CSV.exists(), "golden CSV missing; run pytest --regen-goldens once"
     assert first.encode("utf-8") == GOLDEN_CSV.read_bytes()
 
-    thresholds = json.loads(GOLDEN_THRESHOLDS.read_text(encoding="utf-8"))
-    k3_threshold = float.fromhex(thresholds["k3_max_abs_err_hex"])
-    assert k3_max <= k3_threshold
+    worst = _sweep_error_extrema(records)
+    k3_max, plain_max = worst[("compK", 3)], worst[("decasteljau", 1)]
     assert plain_max >= 10**6 * k3_max
     print(
-        f"criterion 7: K=3 max abs err {k3_max:.3e} <= golden {k3_threshold:.3e}; "
-        f"plain/K=3 ratio {plain_max / k3_max:.3e} >= 1e6; CSV byte-identical"
+        f"criterion 7: K=3 max abs err {float(k3_max):.3e}; "
+        f"plain/K=3 ratio {float(plain_max / k3_max):.3e} >= 1e6; CSV byte-identical"
     )
 
 
@@ -260,7 +245,7 @@ def test_criterion_9_twofold_matches_once_compensated():
     # same order, and sum_k([b, e], 2) returns fl(t + fl(b + e)) with t the
     # exact rounding error of b + e, which is fl(b + e) itself.
     for _ in range(cases):
-        n = rng.randint(2, 5)
+        n = rng.randint(1, 8)
         coeffs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-20, 20) for _ in range(n + 1)]
         s = rng.random()
         a = once_compensated(coeffs, s)

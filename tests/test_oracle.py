@@ -38,7 +38,6 @@ from conftest import (
 QUARTIC = (1.0, -0.75, 0.5, -0.25, 0.0)
 CUBIC = (-1.0, 1.0, -1.0, 1.0)
 
-coeff_lists = st.lists(signed_floats(2.0**-60, 2.0**60), min_size=1, max_size=9)
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
@@ -54,10 +53,6 @@ class TestExactEval:
     def test_constant_partition_of_unity(self, s):
         assert exact_eval([7.25] * 6, s) == Fraction(29, 4)
 
-    @given(coeff_lists, signed_floats(2.0**-30, 2.0**4))
-    def test_two_exact_paths_agree(self, coeffs, s):
-        assert exact_eval(coeffs, s) == exact_eval_basis(coeffs, s)
-
     def test_accepts_exact_rational_point(self):
         assert exact_eval(QUARTIC, Fraction(3, 4)) == Fraction(-1, 32)
 
@@ -65,10 +60,6 @@ class TestExactEval:
 class TestPTilde:
     def test_cubic_at_half(self):
         assert p_tilde(CUBIC, 0.5) == 1
-
-    @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8), unit_floats)
-    def test_nonnegative_coefficients_reduce_to_exact_eval(self, coeffs, s):
-        assert p_tilde(coeffs, s) == exact_eval(coeffs, s)
 
     def test_octic_closed_form(self):
         octic = bernstein_from_root_form([(1, 1), (Fraction(3, 4), 7)])
@@ -152,12 +143,6 @@ class TestConditionNumber:
         assert report.exact_value == Fraction(-1, 8)
         assert report.cond == 8
 
-    @given(coeff_lists, unit_floats)
-    def test_cond_at_least_one(self, coeffs, s):
-        report = condition_number(coeffs, s)
-        if report.cond != math.inf:
-            assert report.cond >= 1
-
     @given(st.lists(st.floats(2.0**-40, 2.0**40), min_size=1, max_size=8), unit_floats)
     def test_single_sign_means_cond_one(self, coeffs, s):
         assert condition_number(coeffs, s).cond == 1
@@ -202,11 +187,13 @@ odd_fractions = st.builds(
 rationals = st.one_of(
     odd_fractions,
     st.integers(-(10**20), 10**20),
-    signed_floats(2.0**-60, 2.0**60),
+    signed_floats(2.0**-1074, 2.0**60),
     st.just(0.0),
     st.fractions(max_denominator=10**9),
 )
 rational_lists = st.lists(rationals, min_size=1, max_size=9)
+# Degrees 0..24: the long lists reach the one-pass sum's larger powers.
+coefficient_lists = st.one_of(rational_lists, st.lists(rationals, min_size=10, max_size=25))
 non_dyadic_units = st.builds(
     lambda den, num: Fraction(num % (den + 1), den),
     st.integers(1, 10**6).map(lambda k: 2 * k + 1),
@@ -217,55 +204,45 @@ unit_points = st.one_of(
 )
 any_points = st.one_of(
     unit_points,
-    st.floats(-8.0, 8.0),
+    st.floats(-64.0, 64.0),
     st.fractions(-8, 8, max_denominator=10**6),
     st.integers(-5, 5),
 )
 
 
 class TestMatchesFractionTriangle:
-    """The one integer pass gives exactly the ``Fraction`` triangle's results."""
+    """The one integer pass gives exactly the ``Fraction`` triangle's results,
+    from the coefficients or from their prebuilt row."""
 
-    @given(rational_lists, any_points)
+    @given(coefficient_lists, any_points)
     def test_exact_eval(self, coeffs, s):
         value = exact_eval(coeffs, s)
         assert type(value) is Fraction
-        assert value == fraction_eval(coeffs, s)
+        assert value == exact_eval(oracle._integer_row(coeffs), s)
+        assert value == fraction_eval(coeffs, s) == exact_eval_basis(coeffs, s)
 
-    @given(rational_lists, unit_points)
-    def test_p_tilde(self, coeffs, s):
-        assert p_tilde(coeffs, s) == fraction_p_tilde(coeffs, s)
-
-    @given(rational_lists, unit_points)
+    @given(coefficient_lists, unit_points)
     def test_condition_number(self, coeffs, s):
-        report = condition_number(coeffs, s)
+        # p_tilde too: cond is its ratio to abs(p(s)).
+        row = oracle._integer_row(coeffs)
+        assert oracle._integer_row(row) is row
+        assert oracle._integer_row(c for c in coeffs) == row  # read once, as a list is
+        tilde = fraction_p_tilde(coeffs, s)
         expected = fraction_condition_number(coeffs, s)
-        assert report == expected
-        assert _same_bits(report.rounded_cond, expected.rounded_cond)
-        assert report.cond == math.inf or type(report.cond) is Fraction
-
-    @given(rationals, unit_points)
-    def test_degree_zero(self, c, s):
-        assert exact_eval([c], s) == fraction_eval([c], s) == Fraction(c)
-        assert p_tilde([c], s) == abs(Fraction(c))
-        assert condition_number([c], s) == fraction_condition_number([c], s)
-
-    @given(rational_lists, non_dyadic_units)
-    def test_non_dyadic_point(self, coeffs, s):
-        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
-        assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
-
-    @given(rational_lists, st.one_of(st.floats(1.0, 64.0), st.floats(-64.0, 0.0)))
-    def test_exact_eval_outside_unit_interval(self, coeffs, s):
-        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
+        for p in (coeffs, row):
+            assert p_tilde(p, s) == tilde
+            report = condition_number(p, s)
+            assert report == expected
+            assert [type(x) for x in report] == [type(x) for x in expected]
+            assert _same_bits(report.rounded_cond, expected.rounded_cond)
+            assert report.cond == math.inf or (type(report.cond) is Fraction and report.cond >= 1)
 
 
 class TestOnePassEdges:
-    """The one-pass sum where a or q - a is zero, and up to degree 24."""
+    """The one-pass sum where a or q - a is zero."""
 
-    @pytest.mark.parametrize("s", [0.0, 0, Fraction(0), 1.0, 1, Fraction(1)])
-    @given(coeffs=rational_lists)
-    def test_endpoints(self, s, coeffs):
+    @given(rational_lists, st.sampled_from([0.0, 0, Fraction(0), 1.0, 1, Fraction(1)]))
+    def test_endpoints(self, coeffs, s):
         end = Fraction(coeffs[0] if s == 0 else coeffs[-1])
         assert exact_eval(coeffs, s) == fraction_eval(coeffs, s) == end
         assert p_tilde(coeffs, s) == fraction_p_tilde(coeffs, s) == abs(end)
@@ -277,32 +254,9 @@ class TestOnePassEdges:
         assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
         assert condition_number(coeffs, s).cond == math.inf
 
-    @given(st.lists(rationals, min_size=10, max_size=25), unit_points)
-    def test_degrees_to_24(self, coeffs, s):
-        assert exact_eval(coeffs, s) == fraction_eval(coeffs, s)
-        assert p_tilde(coeffs, s) == fraction_p_tilde(coeffs, s)
-        assert condition_number(coeffs, s) == fraction_condition_number(coeffs, s)
-
 
 class TestIntegerRow:
-    """A prebuilt row and the coefficients it came from give the same answers."""
-
-    @given(rational_lists, unit_points)
-    def test_row_and_coefficients_agree(self, coeffs, s):
-        row = oracle._integer_row(coeffs)
-        assert oracle._integer_row(row) is row
-        assert oracle._integer_row(c for c in coeffs) == row  # read once, as a list is
-        assert exact_eval(row, s) == exact_eval(coeffs, s)
-        assert p_tilde(row, s) == p_tilde(coeffs, s)
-        from_row, from_coeffs = condition_number(row, s), condition_number(coeffs, s)
-        for field in ConditionReport._fields:
-            a, b = getattr(from_row, field), getattr(from_coeffs, field)
-            assert type(a) is type(b) and a == b, field
-        assert _same_bits(from_row.rounded_cond, from_coeffs.rounded_cond)
-
-    @given(rational_lists, any_points)
-    def test_exact_eval_off_the_unit_interval(self, coeffs, s):
-        assert exact_eval(oracle._integer_row(coeffs), s) == exact_eval(coeffs, s)
+    """A prebuilt row and the coefficients it came from are refused alike."""
 
     @pytest.mark.parametrize(
         "p, error, message",
@@ -576,27 +530,23 @@ def test_float_side_input_rules_live_in_eft():
         assert not {n for n in imported if n.startswith("casteljau.evaluate._")}, path.name
 
 
-def test_no_module_imports_numpy():
-    # Loading numpy would roughly double the CLI's resident memory; a caller
-    # who wants arrays of points brings them.
+@pytest.mark.parametrize(
+    "module",
+    [
+        # Loading numpy would roughly double the CLI's resident memory; a
+        # caller who wants arrays of points brings them.
+        "numpy",
+        # A dataclass generates and compiles its methods at every import.
+        "dataclasses",
+        # The CLI reads runner parameters from their code objects; inspect
+        # would pull ast, dis and tokenize into every start-up.
+        "inspect",
+    ],
+)
+def test_no_module_imports(module):
     for path in Path(oracle.__file__).parent.glob("*.py"):
         imported = _imported_modules(path)
-        assert not {n for n in imported if n.split(".")[0] == "numpy"}, path.name
-
-
-def test_no_module_imports_dataclasses():
-    # A dataclass generates and compiles its methods at every import.
-    for path in Path(oracle.__file__).parent.glob("*.py"):
-        imported = _imported_modules(path)
-        assert not {n for n in imported if n.split(".")[0] == "dataclasses"}, path.name
-
-
-def test_no_module_imports_inspect():
-    # The CLI reads runner parameters from their code objects; inspect would
-    # pull ast, dis and tokenize into every start-up.
-    for path in Path(oracle.__file__).parent.glob("*.py"):
-        imported = _imported_modules(path)
-        assert not {n for n in imported if n.split(".")[0] == "inspect"}, path.name
+        assert not {n for n in imported if n.split(".")[0] == module}, path.name
 
 
 def _names_used(path: Path) -> set[str]:
