@@ -51,9 +51,15 @@ def _number(x: object, *rule: str) -> float:
 
 def _inputs(p: Iterable[float], s: object, name: str) -> tuple[list[float], float]:
     # The coefficients, then s, as floats; float subclasses such as
-    # CountingFloat pass unchanged, and the message shows s as given.
-    rule = (name, "coefficients must be numbers")
-    row = [c if isinstance(c, float) else _number(c, *rule) for c in p]
+    # CountingFloat pass unchanged, and the message shows s as given.  A row of
+    # plain floats, the common case, is only read: the conversion runs on the
+    # first entry that is not one.
+    row = list(p)
+    for c in row:
+        if type(c) is not float:
+            rule = (name, "coefficients must be numbers")
+            row = [c if isinstance(c, float) else _number(c, *rule) for c in row]
+            break
     if not row:
         raise ValueError(f"{name} needs at least one coefficient")
     x = s if isinstance(s, float) else _number(s, "evaluation point s must be a number")

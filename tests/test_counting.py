@@ -1,6 +1,10 @@
 """Instrumented flop counting: values stay bit-identical, tallies add up."""
 
+import math
+import operator
 import re
+import struct
+from fractions import Fraction
 
 import pytest
 
@@ -18,15 +22,50 @@ def wrap(value, counter):
     return CountingFloat(value, counter)
 
 
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class Plain(float):
+    """A float subclass that is not CountingFloat."""
+
+
+# The values a CountingFloat holds, and every kind of operand its six counted
+# operators meet: plain floats (-0.0, inf and nan among them), int and bool, a
+# float subclass, and a CountingFloat on a counter of its own.
+VALUES = [-0.75, 0.1, -0.0, math.inf, math.nan]
+
+
+def operands(counter):
+    floats = [2.0, 0.7, -0.0, math.inf, -math.inf, math.nan]
+    return [*floats, 3, True, False, Plain(0.7), wrap(0.7, counter)]
+
+
+# The reflected operators are called as methods: with a float subclass on the
+# left, Python asks that subclass first, and float answers with a plain float.
+COUNTED = [
+    ("__add__", "adds"),
+    ("__radd__", "adds"),
+    ("__sub__", "subs"),
+    ("__rsub__", "subs"),
+    ("__mul__", "muls"),
+    ("__rmul__", "muls"),
+]
+
+
 class TestCountingFloat:
     def test_arithmetic_matches_plain_float(self):
-        c = FlopCounter()
-        a, b = wrap(0.1, c), wrap(0.7, c)
-        assert a + b == 0.1 + 0.7
-        assert a - b == 0.1 - 0.7
-        assert a * b == 0.1 * 0.7
-        assert c.adds == 1 and c.subs == 1 and c.muls == 1
-        assert c.total == 3
+        # Each result has the plain float operation's bits and ticks its own
+        # kind once on self's counter, and never on the operand's.
+        other = FlopCounter()
+        for name, kind in COUNTED:
+            for value in VALUES:
+                for y in operands(other):
+                    c = FlopCounter()
+                    out = getattr(wrap(value, c), name)(y)
+                    assert bits(out) == bits(getattr(value, name)(float(y))), (name, value, y)
+                    assert getattr(c, kind) == c.total == 1
+        assert other.total == 0
 
     def test_reflected_operations_counted(self):
         c = FlopCounter()
@@ -47,24 +86,45 @@ class TestCountingFloat:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: x + 2.0,
-            lambda x: 2.0 + x,
-            lambda x: x - 2.0,
-            lambda x: 2.0 - x,
-            lambda x: x * 2.0,
-            lambda x: 2.0 * x,
-            lambda x: -x,
-            lambda x: +x,
-            lambda x: abs(x),
+            lambda x, y: x + y,
+            lambda x, y: x.__radd__(y),
+            lambda x, y: x - y,
+            lambda x, y: x.__rsub__(y),
+            lambda x, y: x * y,
+            lambda x, y: x.__rmul__(y),
+            lambda x, y: -x,
+            lambda x, y: +x,
+            lambda x, y: abs(x),
         ],
     )
     def test_every_result_holds_the_operand_counter(self, op):
         c = FlopCounter()
-        x = wrap(-0.75, c)
-        out = op(x)
-        assert type(out) is CountingFloat
-        assert out.counter is c
-        assert out == op(-0.75)
+        for value in VALUES:
+            x = wrap(value, c)
+            for y in operands(FlopCounter()):
+                out = op(x, y)
+                assert type(out) is CountingFloat
+                assert out.counter is c
+                assert bits(out) == bits(op(value, float(y)))
+
+    def test_foreign_operands_defer_without_counting(self):
+        # float's operators return NotImplemented for a Fraction or a complex,
+        # and each counted operator passes that on, so Python asks the
+        # operand: Fraction answers with a plain float, complex with a complex.
+        c = FlopCounter()
+        x = wrap(0.75, c)
+        third = Fraction(1, 3)
+        for name, _ in COUNTED:
+            for y in (third, 0.5j):
+                assert getattr(x, name)(y) is NotImplemented
+        for op in (operator.add, operator.sub, operator.mul):
+            out = op(x, third)
+            assert type(out) is float
+            assert bits(out) == bits(op(0.75, third))
+            for out, expected in ((op(x, 0.5j), op(0.75, 0.5j)), (op(0.5j, x), op(0.5j, 0.75))):
+                assert type(out) is complex
+                assert out == expected
+        assert c.total == 0
 
     def test_zero_like(self):
         c = FlopCounter()
